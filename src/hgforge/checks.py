@@ -14,15 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    StructureCube,
-    format_scalar,
-    format_vector,
-    integer_planes,
-    left_matrix,
-    rat,
-    right_matrix,
-)
+from .core import StructureCube, format_vector, integer_planes, rat, rational_rank
 
 DEFAULT_WITNESS_CAP = 16
 
@@ -177,8 +169,8 @@ def is_associative_matrix(cube: StructureCube, witness_cap=DEFAULT_WITNESS_CAP) 
                 )
                 found.add(
                     (i + 1, j + 1),
-                    f"entry ({r + 1}, {c + 1}) = {format_scalar(rat(product[r][c], scale))}",
-                    f"entry ({r + 1}, {c + 1}) = {format_scalar(rat(combo[r][c], scale))}",
+                    f"entry ({r + 1}, {c + 1}) = {rat(product[r][c], scale)}",
+                    f"entry ({r + 1}, {c + 1}) = {rat(combo[r][c], scale)}",
                 )
     return found.report("associative-matrix")
 
@@ -206,11 +198,17 @@ class ConditionAReport:
 
 
 def satisfies_condition_A(cube: StructureCube) -> ConditionAReport:
-    """Exactly n distinct columns, and all action matrices of full rank."""
-    n = cube.n
-    distinct = len({cube.entries[i][j] for i in range(n) for j in range(n)})
-    left_ranks = tuple(left_matrix(cube, i).rank() for i in range(1, n + 1))
-    right_ranks = tuple(right_matrix(cube, i).rank() for i in range(1, n + 1))
+    """Exactly n distinct columns, and all action matrices of full rank.
+
+    The ranks are taken straight off the cube: plane i, read as rows, is
+    the transpose of the left action of state i, and the columns (j, i)
+    over j, read as rows, the transpose of its right action.  A transpose
+    has the same rank.
+    """
+    n, entries = cube.n, cube.entries
+    distinct = len({entries[i][j] for i in range(n) for j in range(n)})
+    left_ranks = tuple(rational_rank(entries[i]) for i in range(n))
+    right_ranks = tuple(rational_rank([entries[j][i] for j in range(n)]) for i in range(n))
     return ConditionAReport(n, distinct, left_ranks, right_ranks)
 
 
@@ -248,7 +246,7 @@ def check_corollaries(cube: StructureCube, witness_cap=DEFAULT_WITNESS_CAP) -> l
         first = entries[i][0][0]
         for j in range(1, n):
             if entries[i][j][j] != first:
-                diagonals.add((i + 1, j + 1), format_scalar(first), format_scalar(entries[i][j][j]))
+                diagonals.add((i + 1, j + 1), str(first), str(entries[i][j][j]))
     reports.append(diagonals.report("constant-diagonals"))
 
     rows_cols = _Collector(witness_cap)

@@ -21,10 +21,9 @@ import json
 import random
 import sys
 
-from .core import ValidationError, format_scalar
+from .core import ValidationError
 from .checks import (
     DEFAULT_WITNESS_CAP,
-    Witness,
     check_corollaries,
     is_associative_bruteforce,
     is_associative_matrix,
@@ -45,7 +44,7 @@ from .formats import (
     write_document,
 )
 from .groups import cayley_table, enumerate_abelian_groups, DEFAULT_ORDER_CAP
-from .recovery import FAILS_VALIDATION, RecoveryResult, recover
+from .recovery import recover, validation_rejection
 from .sampling import DEFAULT_DENOMINATOR, random_measure
 
 SCHEMA = "hgforge/1"
@@ -237,7 +236,7 @@ def cmd_recover(args):
     try:
         cube = load_cube(args.cube)
     except ValidationError as err:
-        result = _validation_rejection(err)
+        result = validation_rejection(err)
     else:
         result = recover(cube, witness_cap=args.witness_cap)
 
@@ -255,7 +254,7 @@ def cmd_recover(args):
         def text():
             factors = ", ".join(str(d) for d in result.factors.factors)
             print(f"recovered group with invariant factors [{factors}]")
-            print(f"measure: {', '.join(format_scalar(q) for q in result.measure.values)}")
+            print(f"measure: {', '.join(str(q) for q in result.measure.values)}")
             print("round-trip: exact")
 
         _emit(args, document, text)
@@ -286,13 +285,6 @@ def cmd_recover(args):
 
     _emit(args, document, text)
     return EXIT_FAILS
-
-
-def _validation_rejection(err):
-    first = err.violations[0]
-    return RecoveryResult(
-        None, None, None, FAILS_VALIDATION, Witness(first.indices, first.kind, first.detail), str(err)
-    )
 
 
 def cmd_enumerate_groups(args):

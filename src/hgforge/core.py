@@ -9,11 +9,10 @@ associativity) can be decided exactly, with no tolerances anywhere.
 State indices are 1-based in the public API and in every report; the
 underlying tuples are plain 0-based storage.
 
-Entries are gmpy2.mpq when gmpy2 is available and fractions.Fraction
-otherwise; both are exact.  The degree-five associativity loops do not
-run on either: they run on Python ints, the entries scaled by a common
-denominator (see integer_planes), so their speed does not depend on
-gmpy2.
+Entries are fractions.Fraction, the package's only rational type.  The
+degree-five associativity loops run on Python ints instead: the entries
+scaled by a common denominator (see integer_planes).  Ranks are taken by
+fraction-free elimination on integer rows (see rational_rank).
 """
 
 from __future__ import annotations
@@ -21,11 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as _make_rational
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _make_rational = Fraction
 
 
 def rat(value, denominator=None):
@@ -40,26 +34,21 @@ def rat(value, denominator=None):
     True
     """
     if denominator is not None:
-        return _make_rational(value, denominator)
+        return Fraction(value, denominator)
     if isinstance(value, float):
         raise TypeError(
             "floating-point values are not exact; pass an int, a Fraction, "
             'or a string such as "3/4" or "0.75"'
         )
-    return _make_rational(value)
+    return Fraction(value)
 
 
 ZERO = rat(0)
 ONE = rat(1)
 
 
-def format_scalar(q) -> str:
-    """Render a rational as "p/q", or just "p" when the denominator is 1."""
-    return str(q)
-
-
 def format_vector(values) -> str:
-    return "(" + ", ".join(format_scalar(q) for q in values) + ")"
+    return "(" + ", ".join(str(q) for q in values) + ")"
 
 
 @dataclass(frozen=True)
@@ -104,25 +93,20 @@ class MatrixShapeError(ValueError):
 
 
 def _fraction_free_eliminate(rows):
-    """Bareiss elimination on a mutable list of integer rows.
+    """Bareiss elimination on a mutable list of integer rows; returns the rank.
 
-    Returns (rank, sign, last_pivot).  All divisions are exact by the
-    Sylvester determinant identity, so the intermediate values stay
-    integers and never lose precision.  For a square matrix of full rank,
-    sign * last_pivot is the determinant of the integer matrix.
+    All divisions are exact by the Sylvester determinant identity, so the
+    intermediate values stay integers and never lose precision.
     """
     n_rows = len(rows)
     n_cols = len(rows[0]) if n_rows else 0
     prev = 1
-    sign = 1
     r = 0
     for c in range(n_cols):
         pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
         if pivot_row is None:
             continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            sign = -sign
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         pivot = rows[r][c]
         for i in range(r + 1, n_rows):
             factor = rows[i][c]
@@ -134,12 +118,25 @@ def _fraction_free_eliminate(rows):
         r += 1
         if r == n_rows:
             break
-    return r, sign, prev
+    return r
+
+
+def rational_rank(rows) -> int:
+    """Exact rank of a matrix of rationals, given as a sequence of rows.
+
+    Each row is cleared of denominators by its own lcm, which leaves the
+    rank unchanged, and the integer rows are eliminated fraction-free.
+    """
+    cleared = []
+    for row in rows:
+        scale = math.lcm(*(q.denominator for q in row))
+        cleared.append([q.numerator * (scale // q.denominator) for q in row])
+    return _fraction_free_eliminate(cleared)
 
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Immutable matrix of exact rationals with integer-exact rank and det."""
+    """Immutable matrix of exact rationals with an integer-exact rank."""
 
     entries: tuple[tuple, ...]
 
@@ -166,41 +163,8 @@ class RationalMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def entry(self, r, c):
-        return self.entries[r][c]
-
-    def row(self, r):
-        return self.entries[r]
-
     def column(self, c):
         return tuple(row[c] for row in self.entries)
-
-    def transpose(self):
-        return RationalMatrix(tuple(zip(*self.entries)))
-
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise MatrixShapeError("cannot add matrices of different shapes")
-        return RationalMatrix(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries))
-        )
-
-    def scale(self, scalar):
-        s = rat(scalar)
-        return RationalMatrix(tuple(tuple(s * x for x in row) for row in self.entries))
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise MatrixShapeError("inner dimensions do not match")
-        product = _matmul(self.entries, other.entries, self.rows, self.cols, other.cols)
-        return RationalMatrix(tuple(tuple(row) for row in product))
-
-    def is_column_stochastic(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        if any(x < 0 for row in self.entries for x in row):
-            return False
-        return all(sum(self.column(c), ZERO) == 1 for c in range(self.cols))
 
     def is_permutation(self) -> bool:
         if self.rows != self.cols:
@@ -212,33 +176,11 @@ class RationalMatrix:
                 return False
         return all(sum(1 for r in range(self.rows) if self.entries[r][c] == 1) == 1 for c in range(self.cols))
 
-    def _integer_rows(self):
-        """Clear denominators row by row; rank is unchanged, det picks up
-        the product of the row scales."""
-        cleared = []
-        scales = []
-        for row in self.entries:
-            scale = math.lcm(*(int(q.denominator) for q in row))
-            cleared.append([int(q.numerator) * (scale // int(q.denominator)) for q in row])
-            scales.append(scale)
-        return cleared, scales
-
     def rank(self) -> int:
-        cleared, _ = self._integer_rows()
-        r, _, _ = _fraction_free_eliminate(cleared)
-        return r
-
-    def det(self):
-        if self.rows != self.cols:
-            raise MatrixShapeError("determinant requires a square matrix")
-        cleared, scales = self._integer_rows()
-        r, sign, last_pivot = _fraction_free_eliminate(cleared)
-        if r < self.rows:
-            return ZERO
-        return rat(sign * last_pivot, math.prod(scales))
+        return rational_rank(self.entries)
 
     def kernel_vector(self):
-        """A canonical nonzero vector v with (self @ v) = 0, or None.
+        """A canonical nonzero vector v with self times v equal to 0, or None.
 
         Canonical means: integer entries with gcd 1 and a positive first
         nonzero entry, built from the first free column of the reduced
@@ -270,36 +212,14 @@ class RationalMatrix:
         vec[free] = ONE
         for row_idx, pc in enumerate(pivot_cols):
             vec[pc] = -work[row_idx][free]
-        common = math.lcm(*(int(x.denominator) for x in vec))
-        ints = [int(x.numerator) * (common // int(x.denominator)) for x in vec]
+        common = math.lcm(*(x.denominator for x in vec))
+        ints = [x.numerator * (common // x.denominator) for x in vec]
         divisor = math.gcd(*ints)
         ints = [x // divisor for x in ints]
         first_nonzero = next(x for x in ints if x)
         if first_nonzero < 0:
             ints = [-x for x in ints]
         return tuple(rat(x) for x in ints)
-
-
-def _matmul(left, right, n_rows, inner, n_cols):
-    """Multiply nested sequences of rationals; returns list rows.
-
-    Skips zero coefficients, which makes products with permutation and
-    point-mass matrices cheap.
-    """
-    out = [[ZERO] * n_cols for _ in range(n_rows)]
-    for r in range(n_rows):
-        left_row = left[r]
-        out_row = out[r]
-        for k in range(inner):
-            x = left_row[k]
-            if not x:
-                continue
-            right_row = right[k]
-            for c in range(n_cols):
-                y = right_row[c]
-                if y:
-                    out_row[c] = out_row[c] + x * y
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -346,9 +266,9 @@ def integer_planes(cube: StructureCube):
     for the rational s / D**2.
     """
     entries = cube.entries
-    common = math.lcm(*{int(q.denominator) for plane in entries for col in plane for q in col})
+    common = math.lcm(*{q.denominator for plane in entries for col in plane for q in col})
     planes = tuple(
-        tuple(tuple(int(q.numerator) * (common // int(q.denominator)) for q in col) for col in plane)
+        tuple(tuple(q.numerator * (common // q.denominator) for q in col) for col in plane)
         for plane in entries
     )
     return common, planes
@@ -403,12 +323,12 @@ def validate_cube(raw) -> StructureCube:
             for k in range(n):
                 if col[k] < 0:
                     violations.append(
-                        Violation("negative-entry", (i + 1, j + 1, k + 1), format_scalar(col[k]))
+                        Violation("negative-entry", (i + 1, j + 1, k + 1), str(col[k]))
                     )
             total = sum(col, ZERO)
             if total != 1:
                 violations.append(
-                    Violation("column-sum-not-one", (i + 1, j + 1), f"sums to {format_scalar(total)}")
+                    Violation("column-sum-not-one", (i + 1, j + 1), f"sums to {total}")
                 )
     if violations:
         raise ValidationError(violations)
@@ -425,10 +345,10 @@ def validate_measure(raw) -> MeasureVector:
     violations = []
     for k, q in enumerate(values):
         if q < 0:
-            violations.append(Violation("negative-entry", (k + 1,), format_scalar(q)))
+            violations.append(Violation("negative-entry", (k + 1,), str(q)))
     total = sum(values, ZERO)
     if total != 1:
-        violations.append(Violation("sum-not-one", (), f"sums to {format_scalar(total)}"))
+        violations.append(Violation("sum-not-one", (), f"sums to {total}"))
     if violations:
         raise ValidationError(violations)
     return MeasureVector(len(values), values)

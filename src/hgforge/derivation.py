@@ -138,13 +138,6 @@ def degeneracy_check(table: CayleyTable, measure) -> DegeneracyVerdict:
     for h in range(1, n):
         if columns[h] == columns[0]:
             return DegeneracyVerdict(REPEATED_TRANSLATES, repeated_state=h + 1)
-    if len(set(columns)) < n:  # pragma: no cover - excluded by the group action
-        duplicate = next(
-            h for h in range(1, n) if columns[h] in columns[:h]
-        )
-        other = columns.index(columns[duplicate])
-        witness = table.product(duplicate + 1, table.inverse(other + 1))
-        return DegeneracyVerdict(REPEATED_TRANSLATES, repeated_state=witness)
     kernel = matrix.kernel_vector()
     if kernel is not None:
         return DegeneracyVerdict(SINGULAR_MIXTURE, kernel_vector=kernel)

@@ -7,7 +7,10 @@ Three document kinds, all plain JSON:
   group    {"invariant_factors": [2, 4]}  or  {"cayley_table": [[..], ..]}
 
 Scalars are JSON integers or strings: "3/4" (lowest terms on output) or
-a decimal like "0.75", both parsed exactly.  Bare JSON floats are
+a decimal like "0.75", both parsed exactly.  A decimal's exponent may
+not exceed MAX_DECIMAL_EXPONENT in magnitude, so a short string such as
+"1e-3000000" cannot stall parsing; its digits are already bounded by
+CPython's limit on the digits of an integer string.  Bare JSON floats are
 rejected with a pointer to the quoting rule, because a float has already
 lost exactness before this library ever sees it.  A group document must
 carry exactly one of its two fields; Cayley tables are 1-based with the
@@ -21,9 +24,16 @@ bytes, which the command-line tools rely on for deterministic output.
 from __future__ import annotations
 
 import json
+import re
 
 from .core import MeasureVector, StructureCube, rat, validate_cube, validate_measure
 from .groups import CayleyTable, InvariantFactors, cayley_table
+
+
+# CPython's default limit on the digits of an integer string
+MAX_DECIMAL_EXPONENT = 4300
+
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 class FormatError(ValueError):
@@ -41,6 +51,13 @@ def parse_scalar(value, where):
             f'{where}: bare floats are inexact; quote the value, e.g. "3/4" or "0.75"'
         )
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if exponent is not None:
+            digits = exponent[1].replace("_", "").lstrip("0")
+            if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+                raise FormatError(
+                    f"{where}: the exponent of {value!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
+                )
         try:
             return rat(value)
         except (ValueError, ZeroDivisionError) as err:
@@ -51,7 +68,7 @@ def parse_scalar(value, where):
 def scalar_to_json(q):
     """Canonical JSON form: bare int when integral, else "p/q" lowest terms."""
     if q.denominator == 1:
-        return int(q.numerator)
+        return q.numerator
     return f"{q.numerator}/{q.denominator}"
 
 

@@ -23,7 +23,6 @@ from .core import (
     StructureCube,
     ValidationError,
     DimensionMismatch,
-    format_scalar,
     rat,
     validate_cube,
     validate_measure,
@@ -93,6 +92,12 @@ def _rejection(reason, witness=None, detail=None) -> RecoveryResult:
     return RecoveryResult(None, None, None, reason, witness, detail)
 
 
+def validation_rejection(err: ValidationError) -> RecoveryResult:
+    """The fails-validation result for a cube that validate_cube refused."""
+    first = err.violations[0]
+    return _rejection(FAILS_VALIDATION, Witness(first.indices, first.kind, first.detail), str(err))
+
+
 def _first_cube_mismatch(expected: StructureCube, actual: StructureCube):
     for i in range(expected.n):
         for j in range(expected.n):
@@ -112,7 +117,7 @@ def _certified_result(cube: StructureCube, table: CayleyTable, measure: MeasureV
         indices, want, got = mismatch
         return _rejection(
             ROUND_TRIP_MISMATCH,
-            Witness(indices, format_scalar(want), format_scalar(got)),
+            Witness(indices, str(want), str(got)),
             "rebuilt cube differs from the input",
         )
     return RecoveryResult(table, measure, canonical_form(table))
@@ -135,10 +140,7 @@ def recover(cube, witness_cap=DEFAULT_WITNESS_CAP) -> RecoveryResult:
         try:
             cube = validate_cube(cube)
         except ValidationError as err:
-            first = err.violations[0]
-            return _rejection(
-                FAILS_VALIDATION, Witness(first.indices, first.kind, first.detail), str(err)
-            )
+            return validation_rejection(err)
 
     commutative = is_commutative(cube, witness_cap)
     if not commutative.holds:
@@ -159,11 +161,8 @@ def recover(cube, witness_cap=DEFAULT_WITNESS_CAP) -> RecoveryResult:
         )
 
     n = cube.n
-    state_of_column = {}
-    for k in range(n):
-        state_of_column[cube.entries[0][k]] = k + 1
-    if len(state_of_column) != n:  # pragma: no cover - excluded by condition (A)
-        return _rejection(COLUMN_MATCH_FAILURE, detail="plane of state 1 repeats a column")
+    # the left action of state 1 has full rank, so its columns are distinct
+    state_of_column = {cube.entries[0][k]: k + 1 for k in range(n)}
 
     rows = []
     for i in range(n):
@@ -215,7 +214,7 @@ def recover_measure_from_A1(cube: StructureCube, table) -> MeasureVector:
             if plane[j][p] != measure.values[k]:
                 raise InconsistentExpansion(
                     f"action of state 1 at row {p + 1}, column {j + 1} is "
-                    f"{format_scalar(plane[j][p])}, expansion needs {format_scalar(measure.values[k])}"
+                    f"{plane[j][p]}, expansion needs {measure.values[k]}"
                 )
     return measure
 
@@ -240,7 +239,7 @@ def extract_group_by_value(cube, value) -> ExtractionResult:
         [[k for k in range(n) if cube.entries[i][j][k] == v] for j in range(n)] for i in range(n)
     ]
     if not any(hits for plane in hit_lists for hits in plane):
-        return ExtractionResult(None, VALUE_ABSENT, detail=f"value {format_scalar(v)} appears nowhere")
+        return ExtractionResult(None, VALUE_ABSENT, detail=f"value {v} appears nowhere")
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -251,7 +250,7 @@ def extract_group_by_value(cube, value) -> ExtractionResult:
                     NOT_FUNCTIONAL,
                     witness=(i + 1, j + 1),
                     detail=(
-                        f"value {format_scalar(v)} appears {len(hits)} times in column ({i + 1}, {j + 1})"
+                        f"value {v} appears {len(hits)} times in column ({i + 1}, {j + 1})"
                     ),
                 )
             rows[i][j] = hits[0] + 1

@@ -60,6 +60,16 @@ def cofactor_det(rows):
     return total
 
 
+def matmul(left, right):
+    """Product of two matrices given as rows, by the textbook triple sum."""
+    inner = range(len(right))
+    return [
+        [sum((Fraction(left[r][k]) * Fraction(right[k][c]) for k in inner), Fraction(0))
+         for c in range(len(right[0]))]
+        for r in range(len(left))
+    ]
+
+
 def fraction_rank(rows):
     """Rank by plain rational Gaussian elimination, nothing clever."""
     work = [[Fraction(x) for x in row] for row in rows]
@@ -193,7 +203,7 @@ def oracle_associativity(entries):
     """
     n = len(entries)
     cube = [
-        [[Fraction(int(q.numerator), int(q.denominator)) for q in col] for col in plane]
+        [[Fraction(q.numerator, q.denominator) for q in col] for col in plane]
         for plane in entries
     ]
 

@@ -19,7 +19,15 @@ from hgforge import (
     validate_cube,
     validate_measure,
 )
-from oracles import oracle_associativity, relabel_cube
+from oracles import (
+    cofactor_det,
+    fraction_rank,
+    matmul,
+    oracle_associativity,
+    relabel_cube,
+    subgroup_element_sets,
+    uniform_on_subgroup,
+)
 
 
 class TestCommutative:
@@ -47,13 +55,12 @@ class TestAssociative:
 
     def test_matrix_identity_by_hand(self, z2_cube):
         # the product of the two actions is the 1/4-3/4 mix of them
-        a1 = left_matrix(z2_cube, 1)
-        a2 = left_matrix(z2_cube, 2)
-        product = a1 @ a2
-        from hgforge import RationalMatrix
-
-        assert product == RationalMatrix.from_rows([["3/8", "5/8"], ["5/8", "3/8"]])
-        assert product == a1.scale("1/4") + a2.scale("3/4")
+        a1 = left_matrix(z2_cube, 1).entries
+        a2 = left_matrix(z2_cube, 2).entries
+        product = matmul(a1, a2)
+        assert product == [[rat(3, 8), rat(5, 8)], [rat(5, 8), rat(3, 8)]]
+        mix = [[rat(1, 4) * x + rat(3, 4) * y for x, y in zip(r1, r2)] for r1, r2 in zip(a1, a2)]
+        assert product == mix
 
     def test_nonassociative_fixture(self, nonassoc_cube):
         brute = is_associative_bruteforce(nonassoc_cube)
@@ -83,6 +90,13 @@ class TestAssociative:
         report = is_associative_bruteforce(nonassoc_cube, witness_cap=1)
         assert len(report.witnesses) == 1
         assert report.violation_count >= 2
+
+
+def _random_column(rng, n):
+    weights = [rng.randint(0, 9) for _ in range(n)]
+    weights[rng.randrange(n)] += 1
+    total = sum(weights)
+    return [rat(w, total) for w in weights]
 
 
 def _perturb_one_column(cube, rng):
@@ -149,7 +163,7 @@ class TestCrossOracle:
             cube = derive_cube(cayley_table(factors), random_measure(rng, n))
             if trial % 3:
                 cube = _perturb_columns(cube, rng, primes[: 2 + trial % 3])
-                denominators = [int(q.denominator) for plane in cube.entries for col in plane for q in col]
+                denominators = [q.denominator for plane in cube.entries for col in plane for q in col]
                 assert math.lcm(*denominators) > max(denominators)
                 perturbed += 1
             expected = oracle_associativity(cube.entries)
@@ -205,9 +219,53 @@ class TestConditionA:
 
     def test_rank_matches_det_route(self, z2_cube, z3_cube, semilattice_cube):
         for cube in (z2_cube, z3_cube, semilattice_cube):
+            report = satisfies_condition_A(cube)
             for i in range(1, cube.n + 1):
                 mat = left_matrix(cube, i)
-                assert (mat.rank() == cube.n) == (mat.det() != 0)
+                assert (mat.rank() == cube.n) == (cofactor_det(mat.entries) != 0)
+                assert report.left_ranks[i - 1] == mat.rank()
+
+    def test_ranks_match_fraction_oracle(self):
+        rng = random.Random(53)
+        cubes = [
+            # left ranks differ from right ranks: the product column of
+            # (i, j) depends on i only, or on j only
+            validate_cube([[[1, 0], [1, 0]], [[0, 1], [0, 1]]]),
+            validate_cube([[[1 if k == j else 0 for k in range(3)] for j in range(3)] for _ in range(3)]),
+        ]
+        z4 = cayley_table(InvariantFactors((4,)))
+        cubes.append(derive_cube(z4, validate_measure(["1/2", "1/4", 0, "1/4"])))
+        for n in (4, 6):
+            for factors in enumerate_abelian_groups(n):
+                table = cayley_table(factors)
+                for members in subgroup_element_sets([list(r) for r in table.rows]):
+                    cubes.append(derive_cube(table, validate_measure(uniform_on_subgroup(n, members))))
+        for trial in range(40):
+            n = rng.randint(1, 5)
+            if trial % 2:
+                # few distinct columns: ranks mostly drop, left and right apart
+                columns = [_random_column(rng, n) for _ in range(rng.randint(1, n))]
+                entries = [[rng.choice(columns) for _ in range(n)] for _ in range(n)]
+            else:
+                entries = [[_random_column(rng, n) for _ in range(n)] for _ in range(n)]
+            cubes.append(validate_cube(entries))
+        differing = 0
+        verdicts = set()
+        for cube in cubes:
+            n, entries = cube.n, cube.entries
+            # the action matrices themselves, not their transposes
+            left = tuple(
+                fraction_rank([[entries[i][c][r] for c in range(n)] for r in range(n)]) for i in range(n)
+            )
+            right = tuple(
+                fraction_rank([[entries[c][i][r] for c in range(n)] for r in range(n)]) for i in range(n)
+            )
+            report = satisfies_condition_A(cube)
+            assert (report.left_ranks, report.right_ranks) == (left, right)
+            differing += left != right
+            verdicts.add(report.holds)
+        assert differing >= 2
+        assert verdicts == {True, False}
 
 
 class TestCorollaries:

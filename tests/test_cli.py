@@ -60,6 +60,20 @@ class TestValidate:
         assert run_cli("validate", path) == 2
         assert "quote" in capsys.readouterr().err
 
+    def test_huge_exponent_fails_fast(self, tmp_path, child_env):
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 1, "entries": [[["1e-3000000"]]]}')
+        proc = subprocess.run(
+            [sys.executable, "-m", "hgforge", "check", str(path)],
+            capture_output=True,
+            text=True,
+            env=child_env("0"),
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "exponent" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestCheck:
     def test_all_properties_on_fixture(self, z2_files, capsys):

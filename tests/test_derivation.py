@@ -25,7 +25,7 @@ from hgforge import (
     validate_cube,
     validate_measure,
 )
-from oracles import cofactor_det, oracle_derive
+from oracles import cofactor_det, matmul, oracle_derive
 
 
 class TestMixtureMatrix:
@@ -55,10 +55,11 @@ class TestMixtureMatrix:
                 table = cayley_table(factors)
                 measure = random_measure(rng, n)
                 rep = regular_representation(table)
-                total = rep.matrices[0].scale(measure.values[0])
-                for k in range(1, n):
-                    total = total + rep.matrices[k].scale(measure.values[k])
-                assert mixture_matrix(table, measure).matrix == total
+                total = [
+                    [sum(measure.values[k] * rep.matrices[k].entries[r][c] for k in range(n)) for c in range(n)]
+                    for r in range(n)
+                ]
+                assert [list(row) for row in mixture_matrix(table, measure).matrix.entries] == total
 
     def test_dimension_mismatch(self, z2_table):
         with pytest.raises(DimensionMismatch):
@@ -92,7 +93,7 @@ class TestDeriveCube:
                 measure = random_measure(rng, n)
                 expected = oracle_derive(
                     [list(r) for r in table.rows],
-                    [Fraction(int(q.numerator), int(q.denominator)) for q in measure.values],
+                    [Fraction(q.numerator, q.denominator) for q in measure.values],
                 )
                 assert derive_cube(table, measure) == validate_cube(expected)
 
@@ -125,7 +126,8 @@ class TestDeriveCube:
                 mix = mixture_matrix(table, measure).matrix
                 rep = regular_representation(table)
                 for i in range(1, n + 1):
-                    assert left_matrix(cube, i) == rep.matrices[i - 1] @ mix
+                    expected = matmul(rep.matrices[i - 1].entries, mix.entries)
+                    assert [list(row) for row in left_matrix(cube, i).entries] == expected
 
     def test_mixture_commutes_with_actions(self):
         rng = random.Random(37)
@@ -135,7 +137,7 @@ class TestDeriveCube:
                 mix = mixture_matrix(table, random_measure(rng, n)).matrix
                 rep = regular_representation(table)
                 for g in rep.matrices:
-                    assert g @ mix == mix @ g
+                    assert matmul(g.entries, mix.entries) == matmul(mix.entries, g.entries)
 
     def test_dimension_mismatch(self, z2_table):
         with pytest.raises(DimensionMismatch):
@@ -154,7 +156,9 @@ class TestDegeneracy:
         assert verdict.kind == "non-degenerate"
         assert not verdict.degenerate
         # determinant behind it: 9/16 - 1/16
-        assert mixture_matrix(z2_table, z2_measure).matrix.det() == rat(1, 2)
+        matrix = mixture_matrix(z2_table, z2_measure).matrix
+        assert cofactor_det(matrix.entries) == rat(1, 2)
+        assert matrix.rank() == 2
 
     def test_z4_singular_mixture(self):
         table = cayley_table(InvariantFactors((4,)))
@@ -167,7 +171,7 @@ class TestDegeneracy:
         for row in matrix.entries:
             assert sum(r * v for r, v in zip(row, verdict.kernel_vector)) == 0
         as_fractions = [
-            [Fraction(int(q.numerator), int(q.denominator)) for q in row] for row in matrix.entries
+            [Fraction(q.numerator, q.denominator) for q in row] for row in matrix.entries
         ]
         assert cofactor_det(as_fractions) == 0
 

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -47,6 +48,16 @@ class TestScalars:
     def test_zero_denominator_string(self):
         with pytest.raises(FormatError):
             parse_scalar("1/0", "x")
+
+    def test_exponent_at_the_bound(self):
+        assert parse_scalar("1e-4300", "x") == Fraction(1, 10**4300)
+        assert parse_scalar("1E+4300", "x") == 10**4300
+        assert parse_scalar("2.5e-0004300", "x") == Fraction(25, 10**4301)
+
+    def test_exponent_past_the_bound(self):
+        for text in ("1e-4301", "1E+4301", "0.5e4301", "1e-3000000", "1e+3000000", "1e" + "9" * 5000):
+            with pytest.raises(FormatError, match="exponent"):
+                parse_scalar(text, "x")
 
     def test_canonical_output(self):
         assert scalar_to_json(rat(3, 4)) == "3/4"
