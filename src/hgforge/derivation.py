@@ -23,7 +23,6 @@ from .core import (
     RationalMatrix,
     StructureCube,
     ZERO,
-    validate_cube,
     validate_measure,
 )
 from .groups import CayleyTable
@@ -101,25 +100,25 @@ def mixture_matrix(table: CayleyTable, measure) -> MixtureMatrix:
 def derive_cube(table: CayleyTable, measure) -> StructureCube:
     """Cube of all pairwise products of measure translates.
 
-    Entry (i, j, k) is the measure of k (i j)^{-1}.  The result always
-    passes validate_cube, is commutative and associative, and its left
-    action at state i equals G_i times the mixture matrix.
+    Entry (i, j, k) is the measure of k (i j)^{-1}: column (i, j) is the
+    translate of the measure by the product i j.  Each of the n translates
+    is built once and shared by every (i, j) with that product.  The
+    translates of a validated measure are probability vectors, so the
+    cube is built directly, without validating it again; it is
+    commutative and associative, and its left action at state i equals
+    G_i times the mixture matrix.
     """
     measure = validate_measure(measure)
     _require_same_n(table, measure)
     n = table.n
     rows = table.rows
-    inverse = [rows[i].index(1) for i in range(n)]
     values = measure.values
-    entries = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            inv_ij = inverse[rows[i][j] - 1]
-            inv_row = rows[inv_ij]
-            plane.append(tuple(values[inv_row[k] - 1] for k in range(n)))
-        entries.append(tuple(plane))
-    return validate_cube(entries)
+    translates = []
+    for g in range(n):
+        inv_row = rows[rows[g].index(1)]
+        translates.append(tuple(values[inv_row[k] - 1] for k in range(n)))
+    entries = tuple(tuple(translates[s - 1] for s in row) for row in rows)
+    return StructureCube(n, entries)
 
 
 def degeneracy_check(table: CayleyTable, measure) -> DegeneracyVerdict:

@@ -10,7 +10,10 @@ Scalars are JSON integers or strings: "3/4" (lowest terms on output) or
 a decimal like "0.75", both parsed exactly.  A decimal's exponent may
 not exceed MAX_DECIMAL_EXPONENT in magnitude, so a short string such as
 "1e-3000000" cannot stall parsing; its digits are already bounded by
-CPython's limit on the digits of an integer string.  Bare JSON floats are
+CPython's limit on the digits of an integer string.  The entries of a
+cube, and the values of a measure, written over their common
+denominator, must stay within MAX_OPERAND_DIGITS (see there), so that
+every rational a report prints can be rendered.  Bare JSON floats are
 rejected with a pointer to the quoting rule, because a float has already
 lost exactness before this library ever sees it.  A group document must
 carry exactly one of its two fields; Cayley tables are 1-based with the
@@ -24,6 +27,7 @@ bytes, which the command-line tools rely on for deterministic output.
 from __future__ import annotations
 
 import json
+import math
 import re
 
 from .core import MeasureVector, StructureCube, rat, validate_cube, validate_measure
@@ -32,6 +36,15 @@ from .groups import CayleyTable, InvariantFactors, cayley_table
 
 # CPython's default limit on the digits of an integer string
 MAX_DECIMAL_EXPONENT = 4300
+
+# Bound on the digits of the common denominator D of a document's scalars
+# and of each numerator over D.  Half the limit above leaves room for every
+# rational a report prints: an associativity or product-columns witness is
+# a sum of products of two entries over D**2, whose numerator on a valid
+# cube is at most D**2 (each column sums to one), and a column sum, the
+# only other derived value, has a denominator dividing D and a numerator
+# at most n times the widest one.
+MAX_OPERAND_DIGITS = MAX_DECIMAL_EXPONENT // 2
 
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
@@ -63,6 +76,22 @@ def parse_scalar(value, where):
         except (ValueError, ZeroDivisionError) as err:
             raise FormatError(f"{where}: cannot parse {value!r} as a rational ({err})") from None
     raise FormatError(f"{where}: expected an int or a string, found {type(value).__name__}")
+
+
+def _bound_operands(values, where):
+    """FormatError unless the values' common denominator D and every
+    numerator over D have at most MAX_OPERAND_DIGITS digits."""
+    limit = 10**MAX_OPERAND_DIGITS
+    common = 1
+    for d in {q.denominator for q in values}:
+        common = math.lcm(common, d)
+        if common >= limit:
+            raise FormatError(f"{where}: the common denominator exceeds {MAX_OPERAND_DIGITS} digits")
+    for q in values:
+        if abs(q.numerator) * (common // q.denominator) >= limit:
+            raise FormatError(
+                f"{where}: a numerator over the common denominator exceeds {MAX_OPERAND_DIGITS} digits"
+            )
 
 
 def scalar_to_json(q):
@@ -108,6 +137,7 @@ def parse_cube_document(doc) -> StructureCube:
                 [parse_scalar(x, f"entries[{i}][{j}][{k}]") for k, x in enumerate(column)]
             )
         raw.append(raw_plane)
+    _bound_operands([q for plane in raw for column in plane for q in column], "entries")
     return validate_cube(raw)
 
 
@@ -115,7 +145,9 @@ def parse_measure_document(doc) -> MeasureVector:
     _require_object(doc, "measure")
     n = _require_n(doc, "measure")
     values = _require_list(doc.get("values"), n, "values")
-    return validate_measure([parse_scalar(x, f"values[{k}]") for k, x in enumerate(values)])
+    values = [parse_scalar(x, f"values[{k}]") for k, x in enumerate(values)]
+    _bound_operands(values, "values")
+    return validate_measure(values)
 
 
 def parse_group_document(doc) -> CayleyTable:
@@ -152,7 +184,9 @@ def _load(path, parser, kind):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # ValueError covers bad UTF-8 and integers past CPython's digit
+        # limit as well as malformed JSON; RecursionError, deep nesting
         raise FormatError(f"{path}: not valid JSON ({err})") from None
     try:
         return parser(doc)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .core import ONE, ZERO, RationalMatrix
-from .checks import DEFAULT_WITNESS_CAP, PropertyReport, Witness, _Collector
+from .checks import DEFAULT_WITNESS_CAP, PropertyReport, _Collector
 
 DEFAULT_ORDER_CAP = 256
 
@@ -129,10 +129,10 @@ def verify_group_axioms(rows, witness_cap=DEFAULT_WITNESS_CAP) -> PropertyReport
     """Check an n*n table of 1-based values axiom by axiom.
 
     Order of testing: Latin square (every row and column a permutation),
-    then associativity, then commutativity, then existence of a two-sided
-    identity.  The report stops at the first broken axiom so its
-    witnesses all speak about one thing; detail names that axiom, or
-    locates the identity on success.
+    then associativity, then commutativity.  The report stops at the
+    first broken axiom so its witnesses all speak about one thing; detail
+    names that axiom.  An associative Latin square is a group, so it has
+    a two-sided identity, and on success detail locates it.
     """
     table = tuple(tuple(int(x) for x in row) for row in rows)
     n = len(table)
@@ -177,23 +177,9 @@ def verify_group_axioms(rows, witness_cap=DEFAULT_WITNESS_CAP) -> PropertyReport
     if commut.count:
         return commut.report("group-axioms", detail="commutativity")
 
-    identity = next(
-        (
-            e
-            for e in range(n)
-            if all(table[e][j] == j + 1 for j in range(n)) and all(table[j][e] == j + 1 for j in range(n))
-        ),
-        None,
-    )
-    if identity is None:
-        # unreachable for an associative Latin square, kept as a guard
-        return PropertyReport(
-            "group-axioms",
-            False,
-            (Witness((), "a two-sided identity", "none found"),),
-            1,
-            "identity",
-        )
+    # an associative Latin square is a group: its one left identity, the
+    # state whose row is 1..n, is the two-sided identity
+    identity = table.index(tuple(range(1, n + 1)))
     return PropertyReport("group-axioms", True, (), 0, f"identity at state {identity + 1}")
 
 

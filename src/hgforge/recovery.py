@@ -1,12 +1,23 @@
 """Recovering the unique (group, measure) pair behind a derivable cube.
 
-The pipeline runs cheap necessary gates first and stops at the first
-failure, naming it: validation, commutativity, associativity (matrix
+A valid cube first tries a success path that costs O(n^3): match every
+product column against the columns of state 1's left action (which must
+be n distinct columns), build the Cayley table that matching names
+(CayleyTable checks the group axioms, commutativity included), take the
+product column of (1, 1) as the measure, re-derive the cube from that
+pair and compare it with the input entry for entry, and finally check
+that the plane of state 1 has full rank.  A cube that passes is derived
+from an abelian group, so it is commutative and associative; plane 1
+read as rows is the transpose of the mixture matrix M, and every left
+and right action of a derived cube is G_i M, so that one rank settles
+condition (A) and with it the distinctness of all product columns.
+
+Only when that path fails do the gates run, in their fixed order, to
+name the rejection: validation, commutativity, associativity (matrix
 route), the distinct-columns-and-full-rank test, column matching against
 the plane of state 1, the group axioms, and finally certification.  The
-candidate table is read off by matching every product column against the
-columns of state 1's left action; the candidate measure is the product
-column of (1, 1).
+success path never names a rejection, so every reason, witness and
+detail is the one the gates alone would give.
 
 A successful result is never taken on faith: the candidate pair is fed
 back through the forward construction and the rebuilt cube must equal
@@ -24,6 +35,7 @@ from .core import (
     ValidationError,
     DimensionMismatch,
     rat,
+    rational_rank,
     validate_cube,
     validate_measure,
 )
@@ -123,25 +135,49 @@ def _certified_result(cube: StructureCube, table: CayleyTable, measure: MeasureV
     return RecoveryResult(table, measure, canonical_form(table))
 
 
-def recover(cube, witness_cap=DEFAULT_WITNESS_CAP) -> RecoveryResult:
-    """Decide whether the cube is derived and, if so, from what.
+def _match_columns(cube: StructureCube):
+    """Read a table off the cube by matching columns against plane 1.
 
-    Gate order and the reasons they emit:
-      validation        fails-validation
-      commutativity     not-commutative
-      associativity     not-associative (matrix route)
-      distinct columns  fails-condition-a
-      and full ranks
-      column matching   column-match-failure
-      group axioms      group-axiom-failure
-      certification     round-trip-mismatch
+    Returns (rows, None), where rows[i][j] is the state k whose column
+    (1, k) equals column (i + 1, j + 1), or (None, (i, j)) naming the
+    first column that matches none.  Plane 1's columns must be distinct.
     """
-    if not isinstance(cube, StructureCube):
-        try:
-            cube = validate_cube(cube)
-        except ValidationError as err:
-            return validation_rejection(err)
+    state_of_column = {column: k + 1 for k, column in enumerate(cube.entries[0])}
+    rows = []
+    for i, plane in enumerate(cube.entries):
+        row = tuple(state_of_column.get(column) for column in plane)
+        if None in row:
+            return None, (i, row.index(None))
+        rows.append(row)
+    return tuple(rows), None
 
+
+def _certify_first(cube: StructureCube) -> RecoveryResult | None:
+    """The O(n^3) success path: a certified result, or None to run the gates.
+
+    Never names a rejection; any step that fails hands the cube to the
+    gates.  The closing rank check makes condition (A) hold: plane 1 read
+    as rows is the transpose of the mixture matrix, and every action
+    matrix of the re-derived cube is a permutation times that matrix.
+    """
+    n = cube.n
+    if len(set(cube.entries[0])) != n:
+        return None
+    rows, unmatched = _match_columns(cube)
+    if unmatched is not None:
+        return None
+    try:
+        table = CayleyTable(n, rows)
+    except InvalidTable:
+        return None
+    result = _certified_result(cube, table, validate_measure(cube.column(1, 1)))
+    if not result.recovered or rational_rank(cube.entries[0]) != n:
+        return None
+    return result
+
+
+def _gate_sequence(cube: StructureCube, witness_cap) -> RecoveryResult:
+    """Every gate in order on a valid cube, stopping at the first failure."""
     commutative = is_commutative(cube, witness_cap)
     if not commutative.holds:
         return _rejection(NOT_COMMUTATIVE, commutative.witnesses[0])
@@ -160,31 +196,52 @@ def recover(cube, witness_cap=DEFAULT_WITNESS_CAP) -> RecoveryResult:
             ),
         )
 
-    n = cube.n
     # the left action of state 1 has full rank, so its columns are distinct
-    state_of_column = {cube.entries[0][k]: k + 1 for k in range(n)}
-
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            state = state_of_column.get(cube.entries[i][j])
-            if state is None:
-                return _rejection(
-                    COLUMN_MATCH_FAILURE,
-                    Witness((i + 1, j + 1), "a column of state 1's plane", "an unmatched column"),
-                    f"column ({i + 1}, {j + 1}) matches no column of state 1",
-                )
-            row.append(state)
-        rows.append(tuple(row))
+    rows, unmatched = _match_columns(cube)
+    if unmatched is not None:
+        i, j = unmatched
+        return _rejection(
+            COLUMN_MATCH_FAILURE,
+            Witness((i + 1, j + 1), "a column of state 1's plane", "an unmatched column"),
+            f"column ({i + 1}, {j + 1}) matches no column of state 1",
+        )
 
     try:
-        table = CayleyTable(n, tuple(rows))
+        table = CayleyTable(cube.n, rows)
     except InvalidTable as err:
         return _rejection(GROUP_AXIOM_FAILURE, detail=str(err))
 
     measure = validate_measure(cube.column(1, 1))
     return _certified_result(cube, table, measure)
+
+
+def recover(cube, witness_cap=DEFAULT_WITNESS_CAP) -> RecoveryResult:
+    """Decide whether the cube is derived and, if so, from what.
+
+    A valid cube first tries the O(n^3) certify-first path (see the
+    module docstring); a derived cube is settled there without running
+    any O(n^5) associativity scan.  Otherwise the gates run in this
+    order, and the first that fails names the rejection:
+      validation        fails-validation
+      commutativity     not-commutative
+      associativity     not-associative (matrix route)
+      distinct columns  fails-condition-a
+      and full ranks
+      column matching   column-match-failure
+      group axioms      group-axiom-failure
+      certification     round-trip-mismatch
+    The result, reason, witness and detail included, is the one the gates
+    alone would return.
+    """
+    if not isinstance(cube, StructureCube):
+        try:
+            cube = validate_cube(cube)
+        except ValidationError as err:
+            return validation_rejection(err)
+    certified = _certify_first(cube)
+    if certified is not None:
+        return certified
+    return _gate_sequence(cube, witness_cap)
 
 
 def recover_measure_from_A1(cube: StructureCube, table) -> MeasureVector:

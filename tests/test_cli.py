@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgforge import InvariantFactors, cayley_table, derive_cube, validate_measure
 from hgforge.cli import main
@@ -73,6 +75,19 @@ class TestValidate:
         assert proc.returncode == 2
         assert "exponent" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+    @pytest.mark.parametrize("command", ["validate", "check", "recover"])
+    @pytest.mark.parametrize("entry", ["1e-4300", "1e4300"])
+    def test_operand_past_the_digit_bound(self, tmp_path, capsys, command, entry):
+        # 1e-4300 has a 4301-digit denominator: at load time it was accepted
+        # and the report's "sums to" line could not be rendered
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 1, "entries": [[["%s"]]]}' % entry)
+        assert run_cli(command, path) == 2
+        err = capsys.readouterr().err
+        assert "exceeds 2150 digits" in err
+        assert "Traceback" not in err
 
 
 class TestCheck:
@@ -284,3 +299,48 @@ class TestByteDeterminism:
         second = run("977")
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+_SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["1/2", "0.5", "-1/2", "1/0", "3/4", "1/4", "1e-4300", "1e4300", "1e-9999", "x", ""]),
+    st.text(max_size=6),
+    st.floats(allow_nan=True),
+    st.booleans(),
+    st.none(),
+)
+_JSON = st.recursive(
+    _SCALARS | st.integers(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "entries"]) | st.text(max_size=3), children, max_size=3),
+    max_leaves=20,
+)
+
+
+_ENTRIES = st.sampled_from([0, 1, "1/2", "1/3", "2/3", "0.25", "3/2", "-1/2", "1e-4300", "1e4300"])
+
+
+@st.composite
+def _cube_like(draw):
+    """A document shaped like a cube whose scalars mostly parse, so that
+    they reach validation and the checks; one in ten is arbitrary."""
+    n = draw(st.integers(1, 3))
+
+    def entry():
+        return draw(_SCALARS) if draw(st.integers(0, 9)) == 0 else draw(_ENTRIES)
+
+    entries = [[[entry() for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    declared = draw(_JSON) if draw(st.integers(0, 9)) == 0 else n
+    return {"n": declared, "entries": entries}
+
+
+class TestFuzz:
+    @settings(max_examples=100)
+    @given(
+        command=st.sampled_from(["check", "validate", "recover"]),
+        document=st.one_of(_JSON, _cube_like()),
+    )
+    def test_any_json_gives_an_exit_code(self, tmp_path_factory, command, document):
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(json.dumps(document))
+        assert main([command, str(path)]) in (0, 1, 2, 3)

@@ -5,6 +5,7 @@ import pytest
 
 from hgforge import InvariantFactors, ValidationError, cayley_table, rat
 from hgforge.formats import (
+    MAX_OPERAND_DIGITS,
     FormatError,
     cube_to_document,
     group_to_document,
@@ -102,6 +103,46 @@ class TestCubeDocuments:
             parse_cube_document(doc)
 
 
+class TestOperandDigits:
+    """The common denominator D and every numerator over D are bounded."""
+
+    def test_bound_leaves_room_for_witnesses_over_d_squared(self):
+        assert 2 * MAX_OPERAND_DIGITS <= 4300
+
+    def test_denominator_at_the_bound(self):
+        d = 10**MAX_OPERAND_DIGITS - 1
+        cube = parse_cube_document({"n": 1, "entries": [[[f"{d}/{d}"]]]})
+        assert cube.entries[0][0][0] == 1
+        values = [f"1/{d}", f"{d - 1}/{d}"]
+        assert parse_measure_document({"n": 2, "values": values}).values == (rat(1, d), rat(d - 1, d))
+
+    def test_denominator_past_the_bound(self):
+        for entry in ("1e-4300", f"1/{10**MAX_OPERAND_DIGITS}"):
+            with pytest.raises(FormatError, match="common denominator exceeds"):
+                parse_cube_document({"n": 1, "entries": [[[entry]]]})
+        with pytest.raises(FormatError, match="common denominator exceeds"):
+            parse_measure_document({"n": 1, "values": ["1e-4300"]})
+
+    def test_common_denominator_is_the_lcm(self):
+        # each denominator is short; their lcm is not
+        half = MAX_OPERAND_DIGITS // 2 + 1
+        a, b = 10**half + 1, 10**half + 3
+        entries = [[[f"1/{a}", f"{a - 1}/{a}"], [0, 1]], [[0, 1], [f"1/{b}", f"{b - 1}/{b}"]]]
+        doc = {"n": 2, "entries": entries}
+        with pytest.raises(FormatError, match="common denominator exceeds"):
+            parse_cube_document(doc)
+
+    def test_numerator_past_the_bound(self):
+        for entry in ("1e4300", 10**MAX_OPERAND_DIGITS, -(10**MAX_OPERAND_DIGITS)):
+            with pytest.raises(FormatError, match="numerator"):
+                parse_cube_document({"n": 1, "entries": [[[entry]]]})
+        # a small value over a wide common denominator widens its numerator
+        d = 10 ** (MAX_OPERAND_DIGITS - 1) + 1
+        doc = {"n": 2, "entries": [[[f"1/{d}", f"{d - 1}/{d}"], [0, 1]], [[0, 1], [11, -10]]]}
+        with pytest.raises(FormatError, match="numerator"):
+            parse_cube_document(doc)
+
+
 class TestMeasureDocuments:
     def test_round_trip(self):
         from hgforge import validate_measure
@@ -158,6 +199,26 @@ class TestFiles:
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json at all")
+        with pytest.raises(FormatError, match="JSON"):
+            load_cube(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 1, "entries": [[[' + "1" * 5000 + "]]]}",
+            "[" * 100000 + "]" * 100000,
+        ],
+        ids=["integer-past-digit-limit", "deep-nesting"],
+    )
+    def test_undecodable_json(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="JSON"):
+            load_cube(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"n": 1, "entries": [[["\xff"]]]}')
         with pytest.raises(FormatError, match="JSON"):
             load_cube(path)
 

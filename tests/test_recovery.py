@@ -11,6 +11,7 @@ from hgforge import (
     enumerate_abelian_groups,
     extract_group_by_value,
     point_mass,
+    random_measure,
     random_nondegenerate_measure,
     rat,
     recover,
@@ -18,7 +19,9 @@ from hgforge import (
     validate_cube,
     validate_measure,
 )
-from hgforge.recovery import _certified_result
+from hgforge import recovery
+from hgforge.recovery import _certified_result, _gate_sequence
+from oracles import oracle_derive, search_nonassociative_loop, uniform_on_subgroup
 
 
 class TestRecover:
@@ -216,3 +219,149 @@ class TestExtraction:
             result = extract_group_by_value(cube, value)
             assert result.extracted
             assert result.table.product(1, 1) == 1
+
+
+def _s3_rows():
+    """Cayley table of S3 by hand: permutations of (0, 1, 2) as tuples,
+    composed right to left, the identity first."""
+    perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
+    index = {p: s + 1 for s, p in enumerate(perms)}
+    return [[index[tuple(a[b[x]] for x in range(3))] for b in perms] for a in perms]
+
+
+def _coset_measure(rng, table, h):
+    """Constant on the cosets of {1, h} for a state h of order 2."""
+    weights = {}
+    for s in range(1, table.n + 1):
+        weights[s] = weights.get(table.product(s, h)) or rng.randint(1, 50)
+    total = sum(weights.values())
+    return validate_measure([rat(weights[s], total) for s in range(1, table.n + 1)])
+
+
+def _index_two_measure(rng, table):
+    """Half the mass on the squares, an index-2 subgroup: a singular mixture."""
+    squares = {table.product(s, s) for s in range(1, table.n + 1)}
+    draws = [rng.randint(1, 50) for _ in range(table.n)]
+    inside = sum(d for s, d in enumerate(draws, 1) if s in squares)
+    outside = sum(draws) - inside
+    return validate_measure(
+        [rat(d, 2 * (inside if s in squares else outside)) for s, d in enumerate(draws, 1)]
+    )
+
+
+def _perturbed(cube, rng, symmetric):
+    """Move mass within one off-diagonal column; with symmetric=True the
+    mirror column moves with it, so the cube stays commutative."""
+    n = cube.n
+    entries = [[list(col) for col in plane] for plane in cube.entries]
+    i, j = rng.sample(range(n), 2)
+    column = entries[i][j]
+    p = rng.choice([k for k in range(n) if column[k] > 0])
+    q = rng.choice([k for k in range(n) if k != p])
+    shift = column[p] * rat(1, rng.randint(2, 9))
+    column[p] -= shift
+    column[q] += shift
+    if symmetric:
+        entries[j][i] = list(column)
+    return validate_cube(entries)
+
+
+def _random_valid(rng, n):
+    """Random columns, some of them reused, so plane 1 can match."""
+    pool = []
+    for _ in range(rng.randint(1, n)):
+        weights = [rng.randint(0, 4) for _ in range(n)]
+        weights[rng.randrange(n)] += 1
+        pool.append([rat(w, sum(weights)) for w in weights])
+    return validate_cube([[rng.choice(pool) for _ in range(n)] for _ in range(n)])
+
+
+def _derived_nondegenerate(seed, orders):
+    rng = random.Random(seed)
+    for n in orders:
+        for factors in enumerate_abelian_groups(n):
+            table = cayley_table(factors)
+            for _ in range(2):
+                measure = random_nondegenerate_measure(rng, table)
+                yield factors, table, measure, derive_cube(table, measure)
+
+
+def _agreement_cubes():
+    """Cubes of every family the success path must either settle or pass on."""
+    rng = random.Random(4404)
+    cubes = [cube for _, _, _, cube in _derived_nondegenerate(4401, range(1, 9))]
+    for n in (2, 4, 6, 8):
+        for factors in enumerate_abelian_groups(n):
+            table = cayley_table(factors)
+            cubes.append(derive_cube(table, [rat(1, n)] * n))
+            for h in range(2, n + 1):
+                if table.product(h, h) == 1:
+                    cubes.append(derive_cube(table, _coset_measure(rng, table, h)))
+                    cubes.append(derive_cube(table, uniform_on_subgroup(n, {1, h})))
+            if 2 * len({table.product(s, s) for s in range(1, n + 1)}) == n:
+                cubes.append(derive_cube(table, _index_two_measure(rng, table)))
+    z4 = cayley_table(InvariantFactors((4,)))
+    cubes.append(derive_cube(z4, ["1/2", "1/4", 0, "1/4"]))
+    s3 = _s3_rows()
+    for _ in range(6):
+        weights = [rng.randint(0, 9) for _ in range(6)]
+        weights[0] += 1
+        cubes.append(validate_cube(oracle_derive(s3, [rat(w, sum(weights)) for w in weights])))
+    cubes.append(validate_cube(oracle_derive(s3, [1, 0, 0, 0, 0, 0])))
+    loop = search_nonassociative_loop()
+    # point masses multiplied by a non-associative loop
+    cubes.append(validate_cube([[[int(s == k + 1) for k in range(5)] for s in row] for row in loop]))
+    for _, _, _, cube in _derived_nondegenerate(4402, (2, 3, 4, 5, 6)):
+        cubes.append(_perturbed(cube, rng, symmetric=True))
+        cubes.append(_perturbed(cube, rng, symmetric=False))
+    for factors in enumerate_abelian_groups(4) + enumerate_abelian_groups(6):
+        # n distinct columns laid out by a group table, not translates of one measure
+        table = cayley_table(factors)
+        columns = [random_measure(rng, table.n, 9).values for _ in range(table.n)]
+        cubes.append(validate_cube([[columns[s - 1] for s in row] for row in table.rows]))
+    for _ in range(40):
+        cubes.append(_random_valid(rng, rng.randint(1, 5)))
+    return cubes
+
+
+class TestCertifyFirst:
+    @pytest.mark.parametrize("cap", [1, 16])
+    def test_recover_equals_the_gate_sequence(self, cap):
+        reasons = set()
+        for cube in _agreement_cubes():
+            result = recover(cube, cap)
+            assert result == _gate_sequence(cube, cap)
+            reasons.add(result.reason)
+        assert {None, "not-commutative", "not-associative", "fails-condition-a"} <= reasons
+
+    def test_derived_cubes_never_reach_the_assoc_gate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the associativity gate ran on a derived cube")
+
+        monkeypatch.setattr(recovery, "is_associative_matrix", refuse)
+        for factors, table, measure, cube in _derived_nondegenerate(4403, range(1, 9)):
+            result = recover(cube)
+            assert result.recovered
+            assert (result.table, result.measure, result.factors) == (table, measure, factors)
+
+    def test_singular_mixture_with_distinct_columns_fails_condition_a(self):
+        # every product column is distinct and the pair re-derives the cube,
+        # so only the closing rank check keeps it off the success path
+        z4 = cayley_table(InvariantFactors((4,)))
+        cube = derive_cube(z4, ["1/2", "1/4", 0, "1/4"])
+        assert len({col for plane in cube.entries for col in plane}) == 4
+        result = recover(cube)
+        assert result.reason == "fails-condition-a"
+        assert result.detail == "4 distinct columns of 4; left ranks [3, 3, 3, 3], right ranks [3, 3, 3, 3]"
+
+    @pytest.mark.parametrize("order", [16, 24, 32])
+    def test_every_class_of_high_order_round_trips(self, order):
+        rng = random.Random(order)
+        for factors in enumerate_abelian_groups(order):
+            table = cayley_table(factors)
+            measure = random_nondegenerate_measure(rng, table)
+            result = recover(derive_cube(table, measure))
+            assert result.recovered, (factors, result.reason)
+            assert result.table == table
+            assert result.measure == measure
+            assert result.factors == factors
