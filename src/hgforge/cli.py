@@ -45,7 +45,7 @@ from .formats import (
 )
 from .groups import cayley_table, enumerate_abelian_groups, DEFAULT_ORDER_CAP
 from .recovery import recover, validation_rejection
-from .sampling import DEFAULT_DENOMINATOR, random_measure
+from .sampling import DEFAULT_DENOMINATOR, random_measure, random_nondegenerate_measure
 
 SCHEMA = "hgforge/1"
 
@@ -100,26 +100,29 @@ def _emit(args, document, text_renderer):
         text_renderer()
 
 
+def _violations_document(command, err):
+    """JSON report of a cube that fails validation, for validate and check."""
+    return {
+        "schema": SCHEMA,
+        "command": command,
+        "valid": False,
+        "violations": [
+            {"kind": v.kind, "indices": list(v.indices), "detail": v.detail} for v in err.violations
+        ],
+    }
+
+
 def cmd_validate(args):
     try:
         cube = load_cube(args.cube)
     except ValidationError as err:
-        document = {
-            "schema": SCHEMA,
-            "command": "validate",
-            "valid": False,
-            "violations": [
-                {"kind": v.kind, "indices": list(v.indices), "detail": v.detail}
-                for v in err.violations
-            ],
-        }
 
         def text():
             print("invalid cube:")
             for violation in err.violations:
                 print(f"  {violation}")
 
-        _emit(args, document, text)
+        _emit(args, _violations_document("validate", err), text)
         return EXIT_FAILS
     document = {"schema": SCHEMA, "command": "validate", "valid": True, "n": cube.n}
     _emit(args, document, lambda: print(f"valid cube on {cube.n} states"))
@@ -144,7 +147,8 @@ def cmd_check(args):
     try:
         cube = load_cube(args.cube)
     except ValidationError as err:
-        print(f"invalid cube: {err}", file=sys.stderr)
+        document = _violations_document("check", err)
+        _emit(args, document, lambda: print(f"invalid cube: {err}", file=sys.stderr))
         return EXIT_FAILS
     reports = _selected_reports(cube, args.property, args.witness_cap)
 
@@ -319,6 +323,9 @@ def cmd_roundtrip(args):
     if args.trials < 1:
         print("error: need at least one trial", file=sys.stderr)
         return EXIT_INPUT
+    if args.denominator < 1:
+        print("error: denominator must be at least 1", file=sys.stderr)
+        return EXIT_INPUT
     rng = random.Random(args.seed)
     groups = enumerate_abelian_groups(args.order)
     summaries = []
@@ -328,14 +335,11 @@ def cmd_roundtrip(args):
         passed = failed = skipped = 0
         for _ in range(args.trials):
             measure = random_measure(rng, table.n, args.denominator)
-            verdict = degeneracy_check(table, measure)
-            if verdict.degenerate:
+            if degeneracy_check(table, measure).degenerate:
                 if args.include_degenerate:
                     skipped += 1
                     continue
-                while verdict.degenerate:
-                    measure = random_measure(rng, table.n, args.denominator)
-                    verdict = degeneracy_check(table, measure)
+                measure = random_nondegenerate_measure(rng, table, args.denominator)
             cube = derive_cube(table, measure)
             result = recover(cube)
             ok = (

@@ -11,8 +11,9 @@ underlying tuples are plain 0-based storage.
 
 Entries are fractions.Fraction, the package's only rational type.  The
 degree-five associativity loops run on Python ints instead: the entries
-scaled by a common denominator (see integer_planes).  Ranks are taken by
-fraction-free elimination on integer rows (see rational_rank).
+scaled by a common denominator (see integer_planes).  Ranks and kernel
+vectors both come from one fraction-free (Bareiss) elimination on
+integer rows (see rational_rank and RationalMatrix.kernel_vector).
 """
 
 from __future__ import annotations
@@ -121,17 +122,20 @@ def _fraction_free_eliminate(rows):
     return r
 
 
-def rational_rank(rows) -> int:
-    """Exact rank of a matrix of rationals, given as a sequence of rows.
-
-    Each row is cleared of denominators by its own lcm, which leaves the
-    rank unchanged, and the integer rows are eliminated fraction-free.
-    """
+def _cleared_rows(rows):
+    """Each row of rationals times the lcm of its denominators, as ints;
+    scaling rows changes neither the rank nor the kernel."""
     cleared = []
     for row in rows:
         scale = math.lcm(*(q.denominator for q in row))
         cleared.append([q.numerator * (scale // q.denominator) for q in row])
-    return _fraction_free_eliminate(cleared)
+    return cleared
+
+
+def rational_rank(rows) -> int:
+    """Exact rank of a matrix of rationals, given as a sequence of rows:
+    the cleared rows, eliminated fraction-free."""
+    return _fraction_free_eliminate(_cleared_rows(rows))
 
 
 @dataclass(frozen=True)
@@ -183,43 +187,28 @@ class RationalMatrix:
         """A canonical nonzero vector v with self times v equal to 0, or None.
 
         Canonical means: integer entries with gcd 1 and a positive first
-        nonzero entry, built from the first free column of the reduced
-        echelon form.  Deterministic for a given matrix.
+        nonzero entry, zero past the first free column f (the first column
+        in the span of those before it) and nonzero at f, which fixes v.
+        Once the cleared rows are eliminated fraction-free, the pivots of
+        columns 0..f-1 sit on the diagonal, so f is the first zero there,
+        or the first column past the last row; back-substitution from v[f]
+        = the last of those pivots stays in integers by Cramer's rule.
         """
-        n_rows, n_cols = self.rows, self.cols
-        work = [list(row) for row in self.entries]
-        pivot_cols = []
-        r = 0
-        for c in range(n_cols):
-            pivot_row = next((i for i in range(r, n_rows) if work[i][c]), None)
-            if pivot_row is None:
-                continue
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-            pivot = work[r][c]
-            work[r] = [x / pivot for x in work[r]]
-            for i in range(n_rows):
-                if i != r and work[i][c]:
-                    f = work[i][c]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-            pivot_cols.append(c)
-            r += 1
-            if r == n_rows:
-                break
-        if len(pivot_cols) == n_cols:
+        rows = _cleared_rows(self.entries)
+        _fraction_free_eliminate(rows)
+        n_cols = self.cols
+        free = next((i for i in range(min(len(rows), n_cols)) if not rows[i][i]), len(rows))
+        if free >= n_cols:
             return None
-        free = next(c for c in range(n_cols) if c not in pivot_cols)
-        vec = [ZERO] * n_cols
-        vec[free] = ONE
-        for row_idx, pc in enumerate(pivot_cols):
-            vec[pc] = -work[row_idx][free]
-        common = math.lcm(*(x.denominator for x in vec))
-        ints = [x.numerator * (common // x.denominator) for x in vec]
-        divisor = math.gcd(*ints)
-        ints = [x // divisor for x in ints]
-        first_nonzero = next(x for x in ints if x)
-        if first_nonzero < 0:
-            ints = [-x for x in ints]
-        return tuple(rat(x) for x in ints)
+        vec = [0] * n_cols
+        vec[free] = rows[free - 1][free - 1] if free else 1
+        for i in reversed(range(free)):
+            row = rows[i]
+            vec[i] = -sum(row[j] * vec[j] for j in range(i + 1, free + 1)) // row[i]
+        divisor = math.gcd(*vec)
+        if next(x for x in vec if x) < 0:
+            divisor = -divisor
+        return tuple(rat(x // divisor) for x in vec)
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .core import (
     MeasureVector,
     RationalMatrix,
     StructureCube,
-    ZERO,
     validate_measure,
 )
 from .groups import CayleyTable
@@ -73,28 +72,27 @@ class DegeneracyVerdict:
         return NON_DEGENERATE
 
 
-def _require_same_n(table: CayleyTable, measure: MeasureVector):
+def _translates(table: CayleyTable, measure: MeasureVector):
+    """The n translates of a validated measure, one per group state.
+
+    Entry k of translate g is the measure of k g^{-1}.  They are the
+    columns of the mixture matrix and the product columns of the
+    derived cube.
+    """
     if table.n != measure.n:
         raise DimensionMismatch(f"group has {table.n} states, measure has {measure.n}")
+    rows = table.rows
+    values = measure.values
+    return [tuple(values[s - 1] for s in rows[row.index(1)]) for row in rows]
 
 
 def mixture_matrix(table: CayleyTable, measure) -> MixtureMatrix:
     """Sum of measure-weighted translation permutations.
 
-    Built by direct placement: weight k lands in row (k j) of column j.
-    For a fixed column the row positions sweep a permutation, so every
-    cell receives exactly one contribution.
+    Column j is the translate of the measure by state j.
     """
     measure = validate_measure(measure)
-    _require_same_n(table, measure)
-    n = table.n
-    cells = [[ZERO] * n for _ in range(n)]
-    for k in range(n):
-        weight = measure.values[k]
-        row = table.rows[k]
-        for j in range(n):
-            cells[row[j] - 1][j] = weight
-    return MixtureMatrix(table, measure, RationalMatrix(tuple(tuple(r) for r in cells)))
+    return MixtureMatrix(table, measure, RationalMatrix(tuple(zip(*_translates(table, measure)))))
 
 
 def derive_cube(table: CayleyTable, measure) -> StructureCube:
@@ -108,36 +106,24 @@ def derive_cube(table: CayleyTable, measure) -> StructureCube:
     commutative and associative, and its left action at state i equals
     G_i times the mixture matrix.
     """
-    measure = validate_measure(measure)
-    _require_same_n(table, measure)
-    n = table.n
-    rows = table.rows
-    values = measure.values
-    translates = []
-    for g in range(n):
-        inv_row = rows[rows[g].index(1)]
-        translates.append(tuple(values[inv_row[k] - 1] for k in range(n)))
-    entries = tuple(tuple(translates[s - 1] for s in row) for row in rows)
-    return StructureCube(n, entries)
+    translates = _translates(table, validate_measure(measure))
+    return StructureCube(table.n, tuple(tuple(translates[s - 1] for s in row) for row in table.rows))
 
 
 def degeneracy_check(table: CayleyTable, measure) -> DegeneracyVerdict:
     """Detect either failure mode of the construction, with a witness.
 
-    Checks translate collisions first: if any column of the mixture
-    matrix repeats, some column equals column 1 (translating the
-    collision by a group element moves it onto the measure itself), and
-    that state is the witness.  Otherwise a rank drop of the mixture
-    matrix is reported through a kernel vector.
+    Checks translate collisions first: if any two translates coincide,
+    some translate equals the measure itself (translating the collision
+    by a group element moves it there), and the first such state is the
+    witness.  Otherwise a rank drop of the mixture matrix, whose columns
+    are the translates, is reported through its canonical kernel vector.
     """
-    mixture = mixture_matrix(table, measure)
-    matrix = mixture.matrix
-    n = table.n
-    columns = [matrix.column(j) for j in range(n)]
-    for h in range(1, n):
-        if columns[h] == columns[0]:
+    translates = _translates(table, validate_measure(measure))
+    for h in range(1, table.n):
+        if translates[h] == translates[0]:
             return DegeneracyVerdict(REPEATED_TRANSLATES, repeated_state=h + 1)
-    kernel = matrix.kernel_vector()
+    kernel = RationalMatrix(tuple(zip(*translates))).kernel_vector()
     if kernel is not None:
         return DegeneracyVerdict(SINGULAR_MIXTURE, kernel_vector=kernel)
     return DegeneracyVerdict(NON_DEGENERATE)

@@ -16,8 +16,9 @@ denominator, must stay within MAX_OPERAND_DIGITS (see there), so that
 every rational a report prints can be rendered.  Bare JSON floats are
 rejected with a pointer to the quoting rule, because a float has already
 lost exactness before this library ever sees it.  A group document must
-carry exactly one of its two fields; Cayley tables are 1-based with the
-identity at state 1.
+carry exactly one of its two fields, name a group of order at most
+groups.DEFAULT_ORDER_CAP, and satisfy the group axioms; Cayley tables are
+1-based with the identity at state 1.
 
 Serialization is canonical: fixed key order, two-space indent, lowest
 terms, integers written bare.  Equal objects serialize to identical
@@ -31,7 +32,7 @@ import math
 import re
 
 from .core import MeasureVector, StructureCube, rat, validate_cube, validate_measure
-from .groups import CayleyTable, InvariantFactors, cayley_table
+from .groups import DEFAULT_ORDER_CAP, CayleyTable, InvalidTable, InvariantFactors, cayley_table
 
 
 # CPython's default limit on the digits of an integer string
@@ -150,6 +151,13 @@ def parse_measure_document(doc) -> MeasureVector:
     return validate_measure(values)
 
 
+def _bound_order(n, where):
+    """FormatError for a group order above DEFAULT_ORDER_CAP, checked
+    before any table of that order is built."""
+    if n > DEFAULT_ORDER_CAP:
+        raise FormatError(f"{where}: group order {n} exceeds the cap {DEFAULT_ORDER_CAP}")
+
+
 def parse_group_document(doc) -> CayleyTable:
     """Group from either field; exactly one must be present."""
     _require_object(doc, "group")
@@ -165,11 +173,14 @@ def parse_group_document(doc) -> CayleyTable:
             if not isinstance(d, int) or isinstance(d, bool):
                 raise FormatError(f"invariant_factors[{k}]: expected an integer")
         try:
-            return cayley_table(InvariantFactors(tuple(factors)))
+            factors = InvariantFactors(tuple(factors))
         except ValueError as err:
             raise FormatError(f"invariant_factors: {err}") from None
+        _bound_order(factors.order, "invariant_factors")
+        return cayley_table(factors)
     table = _require_list(doc["cayley_table"], None, "cayley_table")
     n = len(table)
+    _bound_order(n, "cayley_table")
     rows = []
     for i, row in enumerate(table):
         row = _require_list(row, n, f"cayley_table[{i}]")
@@ -177,10 +188,13 @@ def parse_group_document(doc) -> CayleyTable:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise FormatError(f"cayley_table[{i}][{j}]: expected an integer state label")
         rows.append(tuple(row))
-    return CayleyTable(n, tuple(rows))
+    try:
+        return CayleyTable(n, tuple(rows))
+    except InvalidTable as err:
+        raise FormatError(f"cayley_table: {err}") from None
 
 
-def _load(path, parser, kind):
+def _load(path, parser):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -195,15 +209,15 @@ def _load(path, parser, kind):
 
 
 def load_cube(path) -> StructureCube:
-    return _load(path, parse_cube_document, "cube")
+    return _load(path, parse_cube_document)
 
 
 def load_measure(path) -> MeasureVector:
-    return _load(path, parse_measure_document, "measure")
+    return _load(path, parse_measure_document)
 
 
 def load_group(path) -> CayleyTable:
-    return _load(path, parse_group_document, "group")
+    return _load(path, parse_group_document)
 
 
 def cube_to_document(cube: StructureCube) -> dict:

@@ -292,7 +292,5 @@ def canonical_form(table: CayleyTable) -> InvariantFactors:
     same order identifies the table's class exactly.
     """
     observed = sorted(table.element_order(i) for i in range(1, table.n + 1))
-    for candidate in enumerate_abelian_groups(table.n, cap=max(table.n, DEFAULT_ORDER_CAP)):
-        if candidate.element_orders() == observed:
-            return candidate
-    raise InvalidTable(f"no abelian group of order {table.n} has element orders {observed}")
+    candidates = enumerate_abelian_groups(table.n, cap=max(table.n, DEFAULT_ORDER_CAP))
+    return next(c for c in candidates if c.element_orders() == observed)

@@ -18,8 +18,11 @@ def random_measure(rng, n, denominator=DEFAULT_DENOMINATOR, positive=False) -> M
     """One exact measure: numerators in 0..denominator, renormalized.
 
     positive=True keeps every state's weight nonzero by drawing from
-    1..denominator instead.  All-zero draws are redrawn.
+    1..denominator instead.  All-zero draws are redrawn; a denominator
+    below 1 raises ValueError, since it allows no other draw.
     """
+    if denominator < 1:
+        raise ValueError(f"denominator must be at least 1, got {denominator}")
     low = 1 if positive else 0
     while True:
         numerators = [rng.randint(low, denominator) for _ in range(n)]

@@ -6,6 +6,7 @@ different elimination, different enumeration.  Slow is fine; these run
 at small n.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -91,6 +92,57 @@ def fraction_rank(rows):
         if rank == n_rows:
             break
     return rank
+
+
+def first_dependent_column(rows):
+    """First column f in the span of the columns before it, or None.
+
+    Found by ranks alone: f is the first column where the rank of
+    columns 0..f equals the rank of columns 0..f-1.  A kernel vector
+    that is zero past f and nonzero at f exists exactly for this f, and
+    is unique up to scale.
+    """
+    before = 0
+    for f in range(len(rows[0])):
+        upto = fraction_rank([row[: f + 1] for row in rows])
+        if upto == before:
+            return f
+        before = upto
+    return None
+
+
+def assert_canonical_kernel(rows, kernel):
+    """kernel is the one canonical vector of the matrix rows, or None.
+
+    With f the first dependent column (by the oracle's ranks), the
+    canonical vector is the primitive integer kernel vector that is zero
+    past f and nonzero at f, with a positive first nonzero entry.
+    """
+    f = first_dependent_column(rows)
+    if f is None:
+        assert kernel is None
+        return
+    assert kernel is not None and len(kernel) == len(rows[0])
+    assert all(x.denominator == 1 for x in kernel)
+    ints = [x.numerator for x in kernel]
+    assert all(sum(Fraction(r) * v for r, v in zip(row, ints)) == 0 for row in rows)
+    assert all(v == 0 for v in ints[f + 1 :])
+    assert ints[f] != 0
+    assert math.gcd(*ints) == 1
+    assert next(v for v in ints if v) > 0
+
+
+def oracle_mixture(rows, values):
+    """Mixture matrix of a group table and a measure, as a list of rows.
+
+    Weight k goes to row (k j) of column j, one cell at a time.
+    """
+    n = len(rows)
+    cells = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(n):
+            cells[rows[k][j] - 1][j] = Fraction(values[k])
+    return cells
 
 
 def subgroup_element_sets(rows):

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hgforge import InvariantFactors, cayley_table, derive_cube, validate_measure
 from hgforge.cli import main
 from hgforge.formats import cube_to_document, group_to_document, measure_to_document, write_document
+from hgforge.sampling import random_measure
 
 
 @pytest.fixture()
@@ -134,6 +136,30 @@ class TestCheck:
         out = capsys.readouterr().out.strip().splitlines()
         assert out == ["commutative: holds"]
 
+    @pytest.mark.parametrize("command", ["validate", "check"])
+    def test_invalid_cube_json_report(self, tmp_path, capsys, command):
+        path = tmp_path / "invalid.json"
+        path.write_text('{"n": 1, "entries": [[["-1/2"]]]}')
+        assert run_cli(command, path, "--format", "json") == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {
+            "schema": "hgforge/1",
+            "command": command,
+            "valid": False,
+            "violations": [
+                {"kind": "negative-entry", "indices": [1, 1, 1], "detail": "-1/2"},
+                {"kind": "column-sum-not-one", "indices": [1, 1], "detail": "sums to -1/2"},
+            ],
+        }
+
+    def test_invalid_cube_text_goes_to_stderr(self, tmp_path, capsys):
+        path = tmp_path / "invalid.json"
+        path.write_text('{"n": 1, "entries": [[["1/2"]]]}')
+        assert run_cli("check", path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid cube: column-sum-not-one at (1, 1): sums to 1/2\n"
+
 
 class TestDerive:
     def test_writes_fixture_bytes(self, z2_files, capsys):
@@ -158,6 +184,25 @@ class TestDerive:
         assert run_cli("derive", group, measure, "--out", out_path) == 3
         out = capsys.readouterr().out
         assert "singular-mixture" in out
+
+    @pytest.mark.parametrize(
+        "group",
+        [
+            {"cayley_table": [[1, 2], [1, 2]]},
+            {"cayley_table": []},
+            {"cayley_table": [[2, 1], [1, 2]]},
+            {"invariant_factors": [2] * 9},
+        ],
+        ids=["not-latin", "empty", "identity-not-first", "order-512"],
+    )
+    def test_bad_group_document_exit_two(self, z2_files, tmp_path, capsys, group):
+        path = tmp_path / "group.json"
+        write_document(path, group)
+        assert run_cli("derive", path, z2_files["measure"], "--out", tmp_path / "c.json") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert not (tmp_path / "c.json").exists()
 
     def test_dimension_mismatch(self, z2_files, tmp_path):
         measure = tmp_path / "m3.json"
@@ -275,6 +320,24 @@ class TestRoundtrip:
     def test_bad_order(self, capsys):
         assert run_cli("roundtrip", "--order", "0") == 2
         assert run_cli("roundtrip", "--order", "512") == 2
+
+    @pytest.mark.parametrize("denominator", ["0", "-3"])
+    def test_bad_denominator(self, capsys, denominator):
+        assert run_cli("roundtrip", "--order", "2", "--denominator", denominator) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: denominator must be at least 1\n"
+
+    @pytest.mark.parametrize("denominator", [0, -3])
+    def test_random_measure_refuses_bad_denominator(self, denominator):
+        with pytest.raises(ValueError, match="denominator must be at least 1"):
+            random_measure(random.Random(0), 2, denominator)
+
+    def test_degenerate_draws_are_redrawn(self, capsys):
+        # n=2 with denominator 1 draws the uniform measure about a third
+        # of the time; without --include-degenerate each one is redrawn
+        assert run_cli("roundtrip", "--order", "2", "--trials", "30", "--seed", "5", "--denominator", "1") == 0
+        assert capsys.readouterr().out == "[2]: 30 passed, 0 failed\nall round trips exact\n"
 
 
 class TestArgumentErrors:

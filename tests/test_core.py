@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from hgforge import (
     validate_measure,
 )
 from hgforge.core import integer_planes, rational_rank
-from oracles import cofactor_det, fraction_rank, matmul
+from oracles import assert_canonical_kernel, cofactor_det, fraction_rank, matmul
 
 
 def _column_stochastic(mat):
@@ -331,6 +332,47 @@ class TestRationalMatrix:
         assert mat.rank() == 2
         # scaling a row keeps the rank, however wide its denominators
         assert rational_rank([rows[0], [x * Fraction(big + 5, 7) for x in rows[0]]]) == 1
+
+
+def _random_rows(rng, n_rows, n_cols, style):
+    def entry():
+        if style == "small":
+            return Fraction(rng.choice([0, 0, 1, -1, 2]), rng.randint(1, 3))
+        if style == "wide-denominators":
+            return Fraction(rng.randint(-10**12, 10**12), rng.randint(10**11, 10**12))
+        return Fraction(rng.randint(-4, 4))
+
+    rows = [[entry() for _ in range(n_cols)] for _ in range(n_rows)]
+    if style == "dependent" and n_rows > 1 and n_cols > 1:
+        # a column that is a multiple of the one before it, and a last row
+        # that combines the first two, pull the rank down
+        c = rng.randrange(1, n_cols)
+        scale = Fraction(rng.randint(-3, 3), 2)
+        for row in rows:
+            row[c] = row[c - 1] * scale
+        weight = Fraction(rng.randint(-3, 3), 5)
+        rows[-1] = [a * weight + b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+@pytest.mark.parametrize("style", ["integers", "small", "wide-denominators", "dependent"])
+@pytest.mark.parametrize("shape", ["square", "wide", "tall"])
+def test_kernel_vector_is_the_canonical_one(shape, style):
+    rng = random.Random(f"{shape}-{style}")
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        m = n if shape == "square" else rng.randint(n + 1, n + 3)
+        n_rows, n_cols = (n, m) if shape == "wide" else (m, n)
+        rows = _random_rows(rng, n_rows, n_cols, style)
+        assert_canonical_kernel(rows, RationalMatrix(tuple(map(tuple, rows))).kernel_vector())
+
+
+def test_kernel_vector_picks_the_first_free_column():
+    # columns 2 and 4 both depend on earlier ones; the choice is column 2
+    rows = [[1, 2, 0, 3], [0, 0, 1, 5]]
+    assert RationalMatrix.from_rows(rows).kernel_vector() == (2, -1, 0, 0)
+    assert RationalMatrix.from_rows([[0, 1], [0, 2]]).kernel_vector() == (1, 0)
+    assert RationalMatrix.from_rows([[1, 1, 1]]).kernel_vector() == (1, -1, 0)
 
 
 @given(st.integers(2, 5), st.integers(0, 10_000))

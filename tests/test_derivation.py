@@ -25,7 +25,15 @@ from hgforge import (
     validate_cube,
     validate_measure,
 )
-from oracles import cofactor_det, matmul, oracle_derive
+from oracles import (
+    assert_canonical_kernel,
+    cofactor_det,
+    matmul,
+    oracle_derive,
+    oracle_mixture,
+    subgroup_element_sets,
+    uniform_on_subgroup,
+)
 
 
 class TestMixtureMatrix:
@@ -203,6 +211,48 @@ class TestDegeneracy:
             verdict = degeneracy_check(table, measure)
             cube = derive_cube(table, measure)
             assert (not verdict.degenerate) == satisfies_condition_A(cube).holds
+
+    def test_verdicts_on_every_group_up_to_order_eight(self):
+        """Verdict and witness against the mixture matrix built in the
+        test: the first translate equal to the measure, else the
+        canonical kernel vector, else non-degenerate."""
+        rng = random.Random(8)
+        seen = set()
+        for n in range(1, 9):
+            for factors in enumerate_abelian_groups(n):
+                table = cayley_table(factors)
+                rows = table.rows
+                subgroups = sorted(subgroup_element_sets(rows), key=sorted)
+                measures = [uniform_on_subgroup(n, members) for members in subgroups]
+                for members in subgroups:
+                    if 2 * len(members) == n:
+                        # half the mass on an index-2 subgroup, half off it:
+                        # the mixture kills its sign character
+                        for _ in range(3):
+                            on = [rng.randint(1, 9) if k in members else 0 for k in range(1, n + 1)]
+                            off = [0 if k in members else rng.randint(1, 9) for k in range(1, n + 1)]
+                            measures.append(
+                                [Fraction(a, 2 * sum(on)) + Fraction(b, 2 * sum(off)) for a, b in zip(on, off)]
+                            )
+                measures += [random_measure(rng, n, denominator) for denominator in (2, 3, 1000) for _ in range(3)]
+                if factors.factors == (4,):
+                    measures.append(["1/2", "1/4", 0, "1/4"])
+                for values in measures:
+                    measure = validate_measure(values)
+                    verdict = degeneracy_check(table, measure)
+                    seen.add(verdict.kind)
+                    matrix = oracle_mixture(rows, measure.values)
+                    columns = list(zip(*matrix))
+                    repeated = next((h for h in range(1, n) if columns[h] == columns[0]), None)
+                    if repeated is not None:
+                        assert verdict.kind == "repeated-translates"
+                        assert verdict.repeated_state == repeated + 1
+                    elif verdict.kind == "singular-mixture":
+                        assert_canonical_kernel(matrix, verdict.kernel_vector)
+                    else:
+                        assert verdict.kind == "non-degenerate"
+                        assert_canonical_kernel(matrix, None)
+        assert seen == {"non-degenerate", "repeated-translates", "singular-mixture"}
 
     def test_single_state_never_degenerate(self):
         table = cayley_table(InvariantFactors(()))

@@ -1,9 +1,11 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
 from hgforge import InvariantFactors, ValidationError, cayley_table, rat
+from hgforge.groups import DEFAULT_ORDER_CAP
 from hgforge.formats import (
     MAX_OPERAND_DIGITS,
     FormatError,
@@ -178,10 +180,40 @@ class TestGroupDocuments:
             parse_group_document({"invariant_factors": [2, 3]})
 
     def test_non_group_table_rejected(self):
-        from hgforge import InvalidTable
-
-        with pytest.raises(InvalidTable):
+        with pytest.raises(FormatError, match="cayley_table: latin-square fails"):
             parse_group_document({"cayley_table": [[1, 2], [2, 2]]})
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([[1, 2], [1, 2]], "cayley_table: latin-square fails"),
+            ([], "cayley_table: table must be square and non-empty"),
+            ([[2, 1], [1, 2]], "cayley_table: identity at state 2, expected state 1"),
+        ],
+    )
+    def test_invalid_table_is_format_error(self, table, message):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            parse_group_document({"cayley_table": table})
+
+    def test_order_above_the_cap_refused_before_building(self, monkeypatch):
+        import hgforge.formats as formats
+
+        def no_table(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(formats, "cayley_table", no_table)
+        monkeypatch.setattr(formats, "CayleyTable", no_table)
+        assert DEFAULT_ORDER_CAP < 512
+        with pytest.raises(FormatError, match=f"group order 512 exceeds the cap {DEFAULT_ORDER_CAP}"):
+            parse_group_document({"invariant_factors": [2] * 9})
+        with pytest.raises(FormatError, match=f"group order 512 exceeds the cap {DEFAULT_ORDER_CAP}"):
+            parse_group_document({"cayley_table": [[1] * 512] * 512})
+
+    def test_order_at_the_cap_reaches_the_table(self, monkeypatch):
+        import hgforge.formats as formats
+
+        monkeypatch.setattr(formats, "cayley_table", lambda factors: factors.order)
+        assert parse_group_document({"invariant_factors": [DEFAULT_ORDER_CAP]}) == DEFAULT_ORDER_CAP
 
     def test_serialized_group_reloads(self, tmp_path):
         table = cayley_table(InvariantFactors((2, 2)))
