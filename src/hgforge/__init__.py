@@ -15,11 +15,7 @@ from .core import (
     StructureCube,
     ValidationError,
     Violation,
-    convolve_measures,
-    left_matrix,
-    point_mass,
     rat,
-    right_matrix,
     validate_cube,
     validate_measure,
 )
@@ -37,11 +33,9 @@ from .groups import (
     CayleyTable,
     InvalidTable,
     InvariantFactors,
-    PermutationRep,
     canonical_form,
     cayley_table,
     enumerate_abelian_groups,
-    regular_representation,
     verify_group_axioms,
 )
 from .derivation import (
@@ -53,11 +47,9 @@ from .derivation import (
 )
 from .recovery import (
     ExtractionResult,
-    InconsistentExpansion,
     RecoveryResult,
     extract_group_by_value,
     recover,
-    recover_measure_from_A1,
 )
 from .formats import (
     FormatError,
@@ -77,12 +69,10 @@ __all__ = [
     "DimensionMismatch",
     "ExtractionResult",
     "FormatError",
-    "InconsistentExpansion",
     "InvalidTable",
     "InvariantFactors",
     "MeasureVector",
     "MixtureMatrix",
-    "PermutationRep",
     "PropertyReport",
     "RationalMatrix",
     "RecoveryResult",
@@ -93,7 +83,6 @@ __all__ = [
     "canonical_form",
     "cayley_table",
     "check_corollaries",
-    "convolve_measures",
     "degeneracy_check",
     "derive_cube",
     "enumerate_abelian_groups",
@@ -101,19 +90,14 @@ __all__ = [
     "is_associative_bruteforce",
     "is_associative_matrix",
     "is_commutative",
-    "left_matrix",
     "load_cube",
     "load_group",
     "load_measure",
     "mixture_matrix",
-    "point_mass",
     "random_measure",
     "random_nondegenerate_measure",
     "rat",
     "recover",
-    "recover_measure_from_A1",
-    "regular_representation",
-    "right_matrix",
     "satisfies_condition_A",
     "validate_cube",
     "validate_measure",

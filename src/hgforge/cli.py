@@ -242,7 +242,7 @@ def cmd_recover(args):
     except ValidationError as err:
         result = validation_rejection(err)
     else:
-        result = recover(cube, witness_cap=args.witness_cap)
+        result = recover(cube)
 
     if result.recovered:
         document = {
@@ -293,7 +293,7 @@ def cmd_recover(args):
 
 def cmd_enumerate_groups(args):
     try:
-        groups = enumerate_abelian_groups(args.n, cap=args.cap)
+        groups = enumerate_abelian_groups(args.n)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
@@ -424,14 +424,12 @@ def build_parser():
     p.add_argument("cube", help="path to a cube JSON file")
     p.add_argument("--out", help="where to write the recovered group JSON")
     p.add_argument("--out-measure", help="where to write the recovered measure JSON")
-    p.add_argument("--witness-cap", type=int, default=DEFAULT_WITNESS_CAP)
     add_format(p)
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("enumerate-groups", help="list abelian groups of a given order")
     p.add_argument("n", type=int, help="group order")
     p.add_argument("--count", action="store_true", help="print only the number of classes")
-    p.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP)
     add_format(p)
     p.set_defaults(func=cmd_enumerate_groups)
 

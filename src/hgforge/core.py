@@ -45,7 +45,6 @@ def rat(value, denominator=None):
 
 
 ZERO = rat(0)
-ONE = rat(1)
 
 
 def format_vector(values) -> str:
@@ -86,7 +85,7 @@ class DimensionMismatch(ValueError):
 
 
 class MatrixShapeError(ValueError):
-    """Matrix rows are ragged or empty, or shapes do not compose."""
+    """Matrix rows are ragged or empty."""
 
 
 # --------------------------------------------------------------------------
@@ -151,34 +150,9 @@ class RationalMatrix:
         if any(len(row) != width for row in self.entries):
             raise MatrixShapeError("matrix rows have unequal lengths")
 
-    @classmethod
-    def from_rows(cls, rows):
-        return cls(tuple(tuple(rat(x) for x in row) for row in rows))
-
-    @classmethod
-    def identity(cls, n):
-        return cls(tuple(tuple(ONE if r == c else ZERO for c in range(n)) for r in range(n)))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
     @property
     def cols(self) -> int:
         return len(self.entries[0])
-
-    def column(self, c):
-        return tuple(row[c] for row in self.entries)
-
-    def is_permutation(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        for row in self.entries:
-            if any(x != 0 and x != 1 for x in row):
-                return False
-            if sum(1 for x in row if x == 1) != 1:
-                return False
-        return all(sum(1 for r in range(self.rows) if self.entries[r][c] == 1) == 1 for c in range(self.cols))
 
     def rank(self) -> int:
         return rational_rank(self.entries)
@@ -341,61 +315,3 @@ def validate_measure(raw) -> MeasureVector:
     if violations:
         raise ValidationError(violations)
     return MeasureVector(len(values), values)
-
-
-def point_mass(n, state) -> MeasureVector:
-    """The measure putting all mass on one state (1-based)."""
-    if not 1 <= state <= n:
-        raise IndexError(f"state {state} out of range 1..{n}")
-    return MeasureVector(n, tuple(ONE if k == state else ZERO for k in range(1, n + 1)))
-
-
-def _check_state_index(i, n):
-    if not 1 <= i <= n:
-        raise IndexError(f"state {i} out of range 1..{n}")
-
-
-def left_matrix(cube: StructureCube, i) -> RationalMatrix:
-    """Left action of state i: column j is the product column of (i, j)."""
-    _check_state_index(i, cube.n)
-    plane = cube.entries[i - 1]
-    n = cube.n
-    return RationalMatrix(tuple(tuple(plane[c][r] for c in range(n)) for r in range(n)))
-
-
-def right_matrix(cube: StructureCube, i) -> RationalMatrix:
-    """Right action of state i: column j is the product column of (j, i)."""
-    _check_state_index(i, cube.n)
-    entries = cube.entries
-    n = cube.n
-    return RationalMatrix(tuple(tuple(entries[c][i - 1][r] for c in range(n)) for r in range(n)))
-
-
-def convolve_measures(cube: StructureCube, x, y) -> MeasureVector:
-    """Product of two measures under the cube's operation.
-
-    Bilinear extension of the state products: weight x_i y_j flows to the
-    product column of (i, j).  Exactness makes mass preservation an
-    identity, not an approximation, so the result is validated strictly.
-    """
-    x = validate_measure(x)
-    y = validate_measure(y)
-    n = cube.n
-    if x.n != n or y.n != n:
-        raise DimensionMismatch(f"measures on {x.n} and {y.n} states, cube has {n}")
-    acc = [ZERO] * n
-    entries = cube.entries
-    for i in range(n):
-        xi = x.values[i]
-        if not xi:
-            continue
-        plane = entries[i]
-        for j in range(n):
-            w = xi * y.values[j]
-            if not w:
-                continue
-            col = plane[j]
-            for k in range(n):
-                if col[k]:
-                    acc[k] = acc[k] + w * col[k]
-    return validate_measure(acc)

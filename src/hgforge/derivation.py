@@ -5,7 +5,7 @@ of the measure by the group product of i and j: the weight of state k in
 the column of (i, j) is the measure of the state that multiplies (i j)
 into k.  Equivalently, the left action of state i is G_i M, where G_i is
 the translation permutation of i and M is the mixture matrix of the
-measure; this side identity is what the recovery path checks against.
+measure; through it, recovery settles condition (A) with one rank.
 
 The construction degrades in exactly two ways, both detected here with
 an exact witness: two translates of the measure can coincide (the cube

@@ -1,4 +1,4 @@
-"""Finite abelian groups: enumeration, Cayley tables, permutation actions.
+"""Finite abelian groups: enumeration, Cayley tables, canonical forms.
 
 Groups are handled in two interchangeable forms.  The compact form is
 the invariant-factor list (d_1, ..., d_m) with d_1 | d_2 | ... | d_m and
@@ -14,7 +14,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import ONE, ZERO, RationalMatrix
 from .checks import DEFAULT_WITNESS_CAP, PropertyReport, _Collector
 
 DEFAULT_ORDER_CAP = 256
@@ -244,44 +243,6 @@ def cayley_table(factors: InvariantFactors) -> CayleyTable:
         for s in elements
     )
     return CayleyTable(len(elements), rows)
-
-
-@dataclass(frozen=True)
-class PermutationRep:
-    """Translation action of a group on itself, one 0/1 matrix per state.
-
-    Matrix i sends the indicator of state j to the indicator of the
-    product of i and j; state 1 always yields the identity matrix.
-    """
-
-    n: int
-    matrices: tuple[RationalMatrix, ...]
-
-    def __post_init__(self):
-        if len(self.matrices) != self.n:
-            raise ValueError(f"expected {self.n} matrices, got {len(self.matrices)}")
-        if any(not g.is_permutation() for g in self.matrices):
-            raise ValueError("every action matrix must be a permutation matrix")
-        if self.matrices and self.matrices[0] != RationalMatrix.identity(self.n):
-            raise ValueError("state 1 must act as the identity")
-
-
-def _permutation_matrices(rows):
-    """0/1 matrices for a table whose every column is a permutation."""
-    n = len(rows)
-    matrices = []
-    for i in range(n):
-        row = rows[i]
-        entries = [[ZERO] * n for _ in range(n)]
-        for j in range(n):
-            entries[row[j] - 1][j] = ONE
-        matrices.append(RationalMatrix(tuple(tuple(r) for r in entries)))
-    return matrices
-
-
-def regular_representation(table: CayleyTable) -> PermutationRep:
-    """Permutation matrices of the translation action, one per state."""
-    return PermutationRep(table.n, tuple(_permutation_matrices(table.rows)))
 
 
 def canonical_form(table: CayleyTable) -> InvariantFactors:

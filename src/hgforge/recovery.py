@@ -33,14 +33,12 @@ from .core import (
     MeasureVector,
     StructureCube,
     ValidationError,
-    DimensionMismatch,
     rat,
     rational_rank,
     validate_cube,
     validate_measure,
 )
 from .checks import (
-    DEFAULT_WITNESS_CAP,
     Witness,
     is_associative_matrix,
     is_commutative,
@@ -59,10 +57,6 @@ ROUND_TRIP_MISMATCH = "round-trip-mismatch"
 
 VALUE_ABSENT = "value-absent"
 NOT_FUNCTIONAL = "not-functional"
-
-
-class InconsistentExpansion(ValueError):
-    """The left action of state 1 is not the claimed mixture of translations."""
 
 
 @dataclass(frozen=True)
@@ -176,13 +170,17 @@ def _certify_first(cube: StructureCube) -> RecoveryResult | None:
     return result
 
 
-def _gate_sequence(cube: StructureCube, witness_cap) -> RecoveryResult:
-    """Every gate in order on a valid cube, stopping at the first failure."""
-    commutative = is_commutative(cube, witness_cap)
+def _gate_sequence(cube: StructureCube) -> RecoveryResult:
+    """Every gate in order on a valid cube, stopping at the first failure.
+
+    A rejection reports only the first witness of its check, so the
+    checks keep one.
+    """
+    commutative = is_commutative(cube, 1)
     if not commutative.holds:
         return _rejection(NOT_COMMUTATIVE, commutative.witnesses[0])
 
-    associative = is_associative_matrix(cube, witness_cap)
+    associative = is_associative_matrix(cube, 1)
     if not associative.holds:
         return _rejection(NOT_ASSOCIATIVE, associative.witnesses[0])
 
@@ -215,7 +213,7 @@ def _gate_sequence(cube: StructureCube, witness_cap) -> RecoveryResult:
     return _certified_result(cube, table, measure)
 
 
-def recover(cube, witness_cap=DEFAULT_WITNESS_CAP) -> RecoveryResult:
+def recover(cube) -> RecoveryResult:
     """Decide whether the cube is derived and, if so, from what.
 
     A valid cube first tries the O(n^3) certify-first path (see the
@@ -241,39 +239,7 @@ def recover(cube, witness_cap=DEFAULT_WITNESS_CAP) -> RecoveryResult:
     certified = _certify_first(cube)
     if certified is not None:
         return certified
-    return _gate_sequence(cube, witness_cap)
-
-
-def recover_measure_from_A1(cube: StructureCube, table) -> MeasureVector:
-    """Read the measure off the plane of state 1 and verify the expansion.
-
-    The left action of state 1 must equal the measure-weighted sum of the
-    table's translation permutations.  The table may be a CayleyTable or
-    raw rows whose columns are permutations; raw rows are accepted so a
-    mismatched or mislabelled table can be tested directly.  Raises
-    InconsistentExpansion when the identity fails.
-    """
-    cube = validate_cube(cube)
-    rows = table.rows if isinstance(table, CayleyTable) else tuple(tuple(int(x) for x in row) for row in table)
-    n = cube.n
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise DimensionMismatch(f"table shape does not match {n} states")
-    full = frozenset(range(1, n + 1))
-    for j in range(n):
-        if frozenset(rows[i][j] for i in range(n)) != full:
-            raise ValueError(f"table column {j + 1} is not a permutation of 1..{n}")
-
-    measure = validate_measure(cube.column(1, 1))
-    plane = cube.entries[0]
-    for j in range(n):
-        for k in range(n):
-            p = rows[k][j] - 1
-            if plane[j][p] != measure.values[k]:
-                raise InconsistentExpansion(
-                    f"action of state 1 at row {p + 1}, column {j + 1} is "
-                    f"{plane[j][p]}, expansion needs {measure.values[k]}"
-                )
-    return measure
+    return _gate_sequence(cube)
 
 
 def extract_group_by_value(cube, value) -> ExtractionResult:

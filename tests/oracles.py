@@ -71,6 +71,33 @@ def matmul(left, right):
     ]
 
 
+def left_action(entries, i):
+    """Rows of the left action of state i (1-based) on a cube's entries:
+    column j is the product column of (i, j)."""
+    n = len(entries)
+    return [[Fraction(entries[i - 1][c][r]) for c in range(n)] for r in range(n)]
+
+
+def right_action(entries, i):
+    """Rows of the right action of state i (1-based): column j is the
+    product column of (j, i)."""
+    n = len(entries)
+    return [[Fraction(entries[c][i - 1][r]) for c in range(n)] for r in range(n)]
+
+
+def translation_matrices(rows):
+    """0/1 matrix G_g of each state g of a 1-based table, as rows.
+
+    G_g sends the indicator of state j to the indicator of g j, so
+    entry (r, c) is 1 exactly when g c is state r + 1.
+    """
+    n = len(rows)
+    return [
+        [[Fraction(int(rows[g][c] == r + 1)) for c in range(n)] for r in range(n)]
+        for g in range(n)
+    ]
+
+
 def fraction_rank(rows):
     """Rank by plain rational Gaussian elimination, nothing clever."""
     work = [[Fraction(x) for x in row] for row in rows]

@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -274,6 +275,15 @@ class TestEnumerateGroups:
 
     def test_over_cap(self, capsys):
         assert run_cli("enumerate-groups", "1000") == 2
+
+    def test_cap_cannot_be_raised(self, capsys):
+        # with the order cap raised, factoring this prime by trial division
+        # took seconds, and the time grows with the square root of the order
+        start = time.perf_counter()
+        code = run_cli("enumerate-groups", "1000000000000037", "--cap", "10000000000000000", "--count")
+        assert code == 2
+        assert time.perf_counter() - start < 2
+        assert "unrecognized arguments: --cap" in capsys.readouterr().err
 
     def test_json(self, capsys):
         assert run_cli("enumerate-groups", "8", "--format", "json") == 0

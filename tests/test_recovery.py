@@ -3,25 +3,34 @@ import random
 import pytest
 
 from hgforge import (
-    InconsistentExpansion,
     InvariantFactors,
     canonical_form,
     cayley_table,
     derive_cube,
     enumerate_abelian_groups,
     extract_group_by_value,
-    point_mass,
+    is_associative_matrix,
+    is_commutative,
     random_measure,
     random_nondegenerate_measure,
     rat,
     recover,
-    recover_measure_from_A1,
     validate_cube,
     validate_measure,
 )
 from hgforge import recovery
 from hgforge.recovery import _certified_result, _gate_sequence
-from oracles import oracle_derive, search_nonassociative_loop, uniform_on_subgroup
+from oracles import (
+    left_action,
+    oracle_derive,
+    oracle_mixture,
+    search_nonassociative_loop,
+    uniform_on_subgroup,
+)
+
+
+def _point_mass(n):
+    return validate_measure([1] + [0] * (n - 1))
 
 
 class TestRecover:
@@ -34,11 +43,11 @@ class TestRecover:
 
     def test_point_mass_cube_of_z3(self):
         table = cayley_table(InvariantFactors((3,)))
-        cube = derive_cube(table, point_mass(3, 1))
+        cube = derive_cube(table, _point_mass(3))
         result = recover(cube)
         assert result.recovered
         assert result.table.rows == table.rows
-        assert result.measure.values == point_mass(3, 1).values
+        assert result.measure.values == _point_mass(3).values
         assert result.factors == InvariantFactors((3,))
 
     def test_semilattice_rejected_by_condition_a(self, semilattice_cube):
@@ -141,19 +150,25 @@ class TestCertification:
 
 
 class TestMeasureFromA1:
+    # the left action of state 1 is the mixture matrix of the recovered
+    # pair, the measure-weighted sum of its translations: A_1 = sum_k m_k G_k
     def test_z2_with_its_table(self, z2_cube, z2_table, z2_measure):
-        assert recover_measure_from_A1(z2_cube, z2_table).values == z2_measure.values
+        result = recover(z2_cube)
+        assert result.measure.values == z2_measure.values
+        assert left_action(z2_cube.entries, 1) == oracle_mixture(z2_table.rows, z2_measure.values)
 
     def test_point_mass_cube_of_z4(self):
         table = cayley_table(InvariantFactors((4,)))
-        cube = derive_cube(table, point_mass(4, 1))
-        assert recover_measure_from_A1(cube, table).values == point_mass(4, 1).values
+        cube = derive_cube(table, _point_mass(4))
+        result = recover(cube)
+        assert result.measure.values == _point_mass(4).values
+        assert left_action(cube.entries, 1) == oracle_mixture(result.table.rows, result.measure.values)
 
     def test_mislabelled_table_fails(self, z2_cube):
         # the Latin square with identity at state 2: the expansion against
         # it cannot reproduce the action of state 1
-        with pytest.raises(InconsistentExpansion):
-            recover_measure_from_A1(z2_cube, [[2, 1], [1, 2]])
+        measure = recover(z2_cube).measure.values
+        assert left_action(z2_cube.entries, 1) != oracle_mixture([[2, 1], [1, 2]], measure)
 
     def test_wrong_group_fails(self):
         z4 = cayley_table(InvariantFactors((4,)))
@@ -161,16 +176,10 @@ class TestMeasureFromA1:
         rng = random.Random(13)
         measure = random_nondegenerate_measure(rng, z4, distinct=True, positive=True)
         cube = derive_cube(z4, measure)
-        with pytest.raises(InconsistentExpansion):
-            recover_measure_from_A1(cube, klein)
-
-    def test_table_shape_checked(self, z2_cube):
-        from hgforge import DimensionMismatch
-
-        with pytest.raises(DimensionMismatch):
-            recover_measure_from_A1(z2_cube, [[1, 2, 3], [2, 3, 1], [3, 1, 2]])
-        with pytest.raises(ValueError):
-            recover_measure_from_A1(z2_cube, [[1, 1], [2, 2]])
+        result = recover(cube)
+        assert result.table == z4
+        assert left_action(cube.entries, 1) == oracle_mixture(z4.rows, result.measure.values)
+        assert left_action(cube.entries, 1) != oracle_mixture(klein.rows, result.measure.values)
 
 
 class TestExtraction:
@@ -327,10 +336,14 @@ def _agreement_cubes():
 class TestCertifyFirst:
     @pytest.mark.parametrize("cap", [1, 16])
     def test_recover_equals_the_gate_sequence(self, cap):
+        # a rejection names the first witness of its check, whatever the cap
+        first_witness = {"not-commutative": is_commutative, "not-associative": is_associative_matrix}
         reasons = set()
         for cube in _agreement_cubes():
-            result = recover(cube, cap)
-            assert result == _gate_sequence(cube, cap)
+            result = recover(cube)
+            assert result == _gate_sequence(cube)
+            if result.reason in first_witness:
+                assert result.witness == first_witness[result.reason](cube, cap).witnesses[0]
             reasons.add(result.reason)
         assert {None, "not-commutative", "not-associative", "fails-condition-a"} <= reasons
 
