@@ -4,17 +4,22 @@ Every check is a total function: it never raises on a valid cube, it
 returns a PropertyReport whose witnesses pin down the first violations
 in a deterministic scan order.  Associativity is decided by two
 independent routes on purpose - a matrix identity and a brute-force
-triple scan - so each can catch a bug in the other.  Both routes, and
-the product-columns corollary, scan the integer planes of
-core.integer_planes; their witnesses are turned back into the exact
-rationals they stand for.
+triple scan - so each can catch a bug in the other.
+
+Every check decides on the cube's integer planes, the entries times the
+common denominator D (see core.StructureCube): columns and multisets are
+compared as int tuples, which D > 0 leaves in the same order, and ranks
+are taken on int rows.  The associativity routes and the product-columns
+corollary compare sides that are bilinear in the entries, so they scale
+by D**2 on both sides.  Witnesses are turned back into the exact
+rationals they stand for, and only for a witness that is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import StructureCube, format_vector, integer_planes, rat, rational_rank
+from .core import StructureCube, rat, rational_rank
 
 DEFAULT_WITNESS_CAP = 16
 
@@ -47,7 +52,9 @@ class _Collector:
     """Counts every violation, keeps at most `cap` witnesses."""
 
     def __init__(self, cap):
-        self.cap = max(1, cap)
+        if cap < 1:
+            raise ValueError("witness cap must be at least 1")
+        self.cap = cap
         self.witnesses = []
         self.count = 0
 
@@ -71,17 +78,17 @@ class _Collector:
 
 
 def _unscaled_vector(values, scale):
-    return format_vector(rat(x, scale) for x in values)
+    return "(" + ", ".join(str(rat(x, scale)) for x in values) + ")"
 
 
 def is_commutative(cube: StructureCube, witness_cap=DEFAULT_WITNESS_CAP) -> PropertyReport:
     """Do states i and j produce the same column in both orders?"""
-    entries = cube.entries
+    planes = cube.planes
     found = _Collector(witness_cap)
     for i in range(cube.n):
         for j in range(i + 1, cube.n):
-            if entries[i][j] != entries[j][i]:
-                found.add((i + 1, j + 1), format_vector(entries[i][j]), format_vector(entries[j][i]))
+            if planes[i][j] != planes[j][i]:
+                found.add_scaled((i + 1, j + 1), planes[i][j], planes[j][i], cube.denominator)
     return found.report("commutative")
 
 
@@ -92,9 +99,8 @@ def is_associative_bruteforce(cube: StructureCube, witness_cap=DEFAULT_WITNESS_C
     i*(j*m); both sides are expanded through the cube with no matrix
     algebra involved.
     """
-    n = cube.n
-    common, planes = integer_planes(cube)
-    scale = common * common
+    n, planes = cube.n, cube.planes
+    scale = cube.denominator**2
     found = _Collector(witness_cap)
     for i in range(n):
         plane_i = planes[i]
@@ -129,9 +135,8 @@ def is_associative_matrix(cube: StructureCube, witness_cap=DEFAULT_WITNESS_CAP) 
     product column of (i, j).  Equivalent to the brute-force route, but
     through an entirely different computation.
     """
-    n = cube.n
-    common, planes = integer_planes(cube)
-    scale = common * common
+    n, planes = cube.n, cube.planes
+    scale = cube.denominator**2
     actions = [
         [[planes[i][c][r] for c in range(n)] for r in range(n)] for i in range(n)
     ]
@@ -205,10 +210,10 @@ def satisfies_condition_A(cube: StructureCube) -> ConditionAReport:
     over j, read as rows, the transpose of its right action.  A transpose
     has the same rank.
     """
-    n, entries = cube.n, cube.entries
-    distinct = len({entries[i][j] for i in range(n) for j in range(n)})
-    left_ranks = tuple(rational_rank(entries[i]) for i in range(n))
-    right_ranks = tuple(rational_rank([entries[j][i] for j in range(n)]) for i in range(n))
+    n, planes = cube.n, cube.planes
+    distinct = len({col for plane in planes for col in plane})
+    left_ranks = tuple(rational_rank(planes[i]) for i in range(n))
+    right_ranks = tuple(rational_rank([planes[j][i] for j in range(n)]) for i in range(n))
     return ConditionAReport(n, distinct, left_ranks, right_ranks)
 
 
@@ -227,44 +232,43 @@ def check_corollaries(cube: StructureCube, witness_cap=DEFAULT_WITNESS_CAP) -> l
                             through plane k matches its expansion through
                             the diagonal column of (k, k)
     """
-    n, entries = cube.n, cube.entries
+    n, common, planes = cube.n, cube.denominator, cube.planes
 
-    base = tuple(sorted(entries[0][0]))
+    base = tuple(sorted(planes[0][0]))
     contents = _Collector(witness_cap)
     for i in range(n):
         for j in range(n):
-            col = tuple(sorted(entries[i][j]))
+            col = tuple(sorted(planes[i][j]))
             if col != base:
-                contents.add((i + 1, j + 1), format_vector(base), format_vector(col))
-    scalars = {q for plane in entries for col in plane for q in col}
+                contents.add_scaled((i + 1, j + 1), base, col, common)
+    scalars = {x for plane in planes for col in plane for x in col}
     if len(scalars) > n:
         contents.add((), f"at most {n} distinct values in the cube", f"{len(scalars)} distinct values")
     reports = [contents.report("column-contents")]
 
     diagonals = _Collector(witness_cap)
     for i in range(n):
-        first = entries[i][0][0]
+        first = planes[i][0][0]
         for j in range(1, n):
-            if entries[i][j][j] != first:
-                diagonals.add((i + 1, j + 1), str(first), str(entries[i][j][j]))
+            if planes[i][j][j] != first:
+                diagonals.add((i + 1, j + 1), str(rat(first, common)), str(rat(planes[i][j][j], common)))
     reports.append(diagonals.report("constant-diagonals"))
 
     rows_cols = _Collector(witness_cap)
     for i in range(n):
-        plane = entries[i]
+        plane = planes[i]
         base_i = tuple(sorted(plane[0]))
         for j in range(1, n):
             col = tuple(sorted(plane[j]))
             if col != base_i:
-                rows_cols.add((i + 1, j + 1), format_vector(base_i), format_vector(col))
+                rows_cols.add_scaled((i + 1, j + 1), base_i, col, common)
         for r in range(n):
             row = tuple(sorted(plane[c][r] for c in range(n)))
             if row != base_i:
-                rows_cols.add((i + 1, r + 1), format_vector(base_i), format_vector(row))
+                rows_cols.add_scaled((i + 1, r + 1), base_i, row, common)
     reports.append(rows_cols.report("row-column-contents"))
 
-    # bilinear in the entries like associativity: decided on the integers
-    common, planes = integer_planes(cube)
+    # bilinear in the entries like associativity: both sides scale by D**2
     scale = common * common
     products = _Collector(witness_cap)
     for k in range(n):

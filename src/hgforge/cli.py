@@ -144,6 +144,9 @@ def _selected_reports(cube, selection, cap):
 
 
 def cmd_check(args):
+    if args.witness_cap < 1:
+        print("error: witness cap must be at least 1", file=sys.stderr)
+        return EXIT_INPUT
     try:
         cube = load_cube(args.cube)
     except ValidationError as err:
@@ -245,6 +248,11 @@ def cmd_recover(args):
         result = recover(cube)
 
     if result.recovered:
+        # files first: an unwritable path exits 2 before any report is printed
+        if args.out:
+            write_document(args.out, group_to_document(result.table))
+        if args.out_measure:
+            write_document(args.out_measure, measure_to_document(result.measure))
         document = {
             "schema": SCHEMA,
             "command": "recover",
@@ -262,10 +270,6 @@ def cmd_recover(args):
             print("round-trip: exact")
 
         _emit(args, document, text)
-        if args.out:
-            write_document(args.out, group_to_document(result.table))
-        if args.out_measure:
-            write_document(args.out_measure, measure_to_document(result.measure))
         return EXIT_OK
 
     document = {

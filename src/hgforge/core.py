@@ -1,4 +1,4 @@
-"""Exact-rational data model for structure-constant cubes.
+"""Exact integer data model for structure-constant cubes.
 
 A hypergroup structure on states 1..n is stored as an n*n*n cube of
 rational coefficients: entry (i, j, k) is the weight of state k in the
@@ -9,10 +9,13 @@ associativity) can be decided exactly, with no tolerances anywhere.
 State indices are 1-based in the public API and in every report; the
 underlying tuples are plain 0-based storage.
 
-Entries are fractions.Fraction, the package's only rational type.  The
-degree-five associativity loops run on Python ints instead: the entries
-scaled by a common denominator (see integer_planes).  Ranks and kernel
-vectors both come from one fraction-free (Bareiss) elimination on
+A cube holds its entries once, as Python ints over one common
+denominator D (see StructureCube), and every predicate decides on those
+ints: column equality and multisets on int tuples, associativity on
+identities that scale by D**2.  fractions.Fraction, the package's only
+rational type, appears at the boundary only: parsing, measures, report
+text, documents, and StructureCube.entries and column().  Ranks and
+kernel vectors both come from one fraction-free (Bareiss) elimination on
 integer rows (see rational_rank and RationalMatrix.kernel_vector).
 """
 
@@ -21,34 +24,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 
 def rat(value, denominator=None):
     """Build an exact rational from an int, string, Fraction, or pair.
 
     Strings may be fractions ("3/4") or decimals ("0.75", "1e-3"); both
-    convert exactly.  Floats are rejected outright: a float has already
-    been rounded to binary, so accepting one would silently break the
-    exactness guarantee.
+    convert exactly.  A Fraction is returned as it is.  Floats are
+    rejected outright: a float has already been rounded to binary, so
+    accepting one would silently break the exactness guarantee.
 
     >>> rat("0.75") == rat(3, 4)
     True
     """
     if denominator is not None:
         return Fraction(value, denominator)
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(
             "floating-point values are not exact; pass an int, a Fraction, "
             'or a string such as "3/4" or "0.75"'
         )
     return Fraction(value)
-
-
-ZERO = rat(0)
-
-
-def format_vector(values) -> str:
-    return "(" + ", ".join(str(q) for q in values) + ")"
 
 
 @dataclass(frozen=True)
@@ -122,18 +121,21 @@ def _fraction_free_eliminate(rows):
 
 
 def _cleared_rows(rows):
-    """Each row of rationals times the lcm of its denominators, as ints;
-    scaling rows changes neither the rank nor the kernel."""
+    """Each row of rationals or ints times the lcm of its denominators,
+    divided by the gcd of the results, as ints; scaling rows changes
+    neither the rank nor the kernel."""
     cleared = []
     for row in rows:
         scale = math.lcm(*(q.denominator for q in row))
-        cleared.append([q.numerator * (scale // q.denominator) for q in row])
+        ints = [q.numerator * (scale // q.denominator) for q in row]
+        divisor = math.gcd(*ints) or 1
+        cleared.append([x // divisor for x in ints])
     return cleared
 
 
 def rational_rank(rows) -> int:
-    """Exact rank of a matrix of rationals, given as a sequence of rows:
-    the cleared rows, eliminated fraction-free."""
+    """Exact rank of a matrix of rationals or ints, given as a sequence of
+    rows: the cleared rows, eliminated fraction-free."""
     return _fraction_free_eliminate(_cleared_rows(rows))
 
 
@@ -149,10 +151,6 @@ class RationalMatrix:
         width = len(self.entries[0])
         if any(len(row) != width for row in self.entries):
             raise MatrixShapeError("matrix rows have unequal lengths")
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
 
     def rank(self) -> int:
         return rational_rank(self.entries)
@@ -170,7 +168,7 @@ class RationalMatrix:
         """
         rows = _cleared_rows(self.entries)
         _fraction_free_eliminate(rows)
-        n_cols = self.cols
+        n_cols = len(self.entries[0])
         free = next((i for i in range(min(len(rows), n_cols)) if not rows[i][i]), len(rows))
         if free >= n_cols:
             return None
@@ -193,48 +191,32 @@ class RationalMatrix:
 class StructureCube:
     """Validated n*n*n cube of product coefficients, 0-based storage.
 
-    entries[i][j] is the column of the product of states i+1 and j+1:
-    a nonnegative rational vector summing to one.  Build instances with
-    validate_cube; the constructor itself only checks the shape.
+    denominator is D, the lcm of the denominators of all entries, and
+    planes[i][j][k] is the Python int D * entry (i, j, k).  Column (i, j),
+    the product of states i+1 and j+1, is a nonnegative vector summing to
+    one, so planes[i][j] sums to D.  Two cubes are equal exactly when their
+    entries are, since D is determined by the entries.  Build instances
+    with validate_cube or derive_cube, which establish all of this; the
+    constructor checks nothing.
     """
 
     n: int
-    entries: tuple[tuple[tuple, ...], ...]
+    denominator: int
+    planes: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError([Violation("shape-mismatch", (), "need at least one state")])
-        if len(self.entries) != self.n or any(
-            len(plane) != self.n or any(len(col) != self.n for col in plane) for plane in self.entries
-        ):
-            raise ValidationError([Violation("shape-mismatch", (), f"entries are not {self.n}^3")])
-
-    def value(self, i, j, k):
-        """Coefficient of state k in the product of states i and j (1-based)."""
-        return self.entries[i - 1][j - 1][k - 1]
+    @cached_property
+    def entries(self):
+        """The entries as Fractions, nested like planes; each distinct value
+        and each distinct column is built once and shared."""
+        columns = dict.fromkeys(col for plane in self.planes for col in plane)
+        values = {x: Fraction(x, self.denominator) for x in {x for col in columns for x in col}}
+        for col in columns:
+            columns[col] = tuple(values[x] for x in col)
+        return tuple(tuple(columns[col] for col in plane) for plane in self.planes)
 
     def column(self, i, j):
-        """The full product column of states i and j (1-based)."""
-        return self.entries[i - 1][j - 1]
-
-
-def integer_planes(cube: StructureCube):
-    """The cube's entries over one common denominator, as (D, planes).
-
-    D is the lcm of every entry's denominator and planes[i][j][k] is the
-    Python int D * entry (i, j, k), in the cube's 0-based layout.  An
-    identity that is bilinear in the entries, such as associativity,
-    scales by D**2 on both sides, so it holds on these integers exactly
-    when it holds on the rationals, and a side s computed on them stands
-    for the rational s / D**2.
-    """
-    entries = cube.entries
-    common = math.lcm(*{q.denominator for plane in entries for col in plane for q in col})
-    planes = tuple(
-        tuple(tuple(q.numerator * (common // q.denominator) for q in col) for col in plane)
-        for plane in entries
-    )
-    return common, planes
+        """The full product column of states i and j (1-based), as Fractions."""
+        return tuple(Fraction(x, self.denominator) for x in self.planes[i - 1][j - 1])
 
 
 @dataclass(frozen=True)
@@ -263,7 +245,7 @@ def validate_cube(raw) -> StructureCube:
         raise ValidationError([Violation("shape-mismatch", (), "cube must be a nested sequence")])
     if n < 1:
         raise ValidationError([Violation("shape-mismatch", (), "need at least one state")])
-    planes = []
+    rows = []
     for i, plane in enumerate(raw):
         if len(plane) != n:
             raise ValidationError(
@@ -275,27 +257,27 @@ def validate_cube(raw) -> StructureCube:
                 raise ValidationError(
                     [Violation("shape-mismatch", (i + 1, j + 1), f"expected {n} entries, found {len(col)}")]
                 )
-            cols.append(tuple(rat(x) for x in col))
-        planes.append(tuple(cols))
-    entries = tuple(planes)
+            cols.append([rat(x) for x in col])
+        rows.append(cols)
+    common = math.lcm(*{q.denominator for plane in rows for col in plane for q in col})
+    planes = tuple(
+        tuple(tuple(q.numerator * (common // q.denominator) for q in col) for col in plane)
+        for plane in rows
+    )
 
     violations = []
-    for i in range(n):
-        for j in range(n):
-            col = entries[i][j]
-            for k in range(n):
-                if col[k] < 0:
-                    violations.append(
-                        Violation("negative-entry", (i + 1, j + 1, k + 1), str(col[k]))
-                    )
-            total = sum(col, ZERO)
-            if total != 1:
-                violations.append(
-                    Violation("column-sum-not-one", (i + 1, j + 1), f"sums to {total}")
-                )
+    for i, plane in enumerate(planes):
+        for j, col in enumerate(plane):
+            for k, x in enumerate(col):
+                if x < 0:
+                    detail = str(rat(x, common))
+                    violations.append(Violation("negative-entry", (i + 1, j + 1, k + 1), detail))
+            if sum(col) != common:
+                detail = f"sums to {rat(sum(col), common)}"
+                violations.append(Violation("column-sum-not-one", (i + 1, j + 1), detail))
     if violations:
         raise ValidationError(violations)
-    return StructureCube(n, entries)
+    return StructureCube(n, common, planes)
 
 
 def validate_measure(raw) -> MeasureVector:
@@ -309,7 +291,7 @@ def validate_measure(raw) -> MeasureVector:
     for k, q in enumerate(values):
         if q < 0:
             violations.append(Violation("negative-entry", (k + 1,), str(q)))
-    total = sum(values, ZERO)
+    total = sum(values)
     if total != 1:
         violations.append(Violation("sum-not-one", (), f"sums to {total}"))
     if violations:

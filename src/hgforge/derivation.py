@@ -5,7 +5,9 @@ of the measure by the group product of i and j: the weight of state k in
 the column of (i, j) is the measure of the state that multiplies (i j)
 into k.  Equivalently, the left action of state i is G_i M, where G_i is
 the translation permutation of i and M is the mixture matrix of the
-measure; through it, recovery settles condition (A) with one rank.
+measure; through it, recovery settles condition (A) with one rank.  The
+cube is built as integers over the measure's common denominator; the
+mixture matrix and the degeneracy witnesses stay in Fractions.
 
 The construction degrades in exactly two ways, both detected here with
 an exact witness: two translates of the measure can coincide (the cube
@@ -15,6 +17,7 @@ singular (the action matrices then drop rank).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import (
@@ -72,17 +75,17 @@ class DegeneracyVerdict:
         return NON_DEGENERATE
 
 
-def _translates(table: CayleyTable, measure: MeasureVector):
-    """The n translates of a validated measure, one per group state.
+def _translates(table: CayleyTable, values):
+    """The n translates of a measure's values, one per group state.
 
-    Entry k of translate g is the measure of k g^{-1}.  They are the
-    columns of the mixture matrix and the product columns of the
+    Entry k of translate g is the value at k g^{-1}.  Over the measure
+    itself they are the columns of the mixture matrix; over its values
+    times a common denominator, the integer product columns of the
     derived cube.
     """
-    if table.n != measure.n:
-        raise DimensionMismatch(f"group has {table.n} states, measure has {measure.n}")
+    if table.n != len(values):
+        raise DimensionMismatch(f"group has {table.n} states, measure has {len(values)}")
     rows = table.rows
-    values = measure.values
     return [tuple(values[s - 1] for s in rows[row.index(1)]) for row in rows]
 
 
@@ -92,22 +95,25 @@ def mixture_matrix(table: CayleyTable, measure) -> MixtureMatrix:
     Column j is the translate of the measure by state j.
     """
     measure = validate_measure(measure)
-    return MixtureMatrix(table, measure, RationalMatrix(tuple(zip(*_translates(table, measure)))))
+    return MixtureMatrix(table, measure, RationalMatrix(tuple(zip(*_translates(table, measure.values)))))
 
 
 def derive_cube(table: CayleyTable, measure) -> StructureCube:
     """Cube of all pairwise products of measure translates.
 
     Entry (i, j, k) is the measure of k (i j)^{-1}: column (i, j) is the
-    translate of the measure by the product i j.  Each of the n translates
-    is built once and shared by every (i, j) with that product.  The
-    translates of a validated measure are probability vectors, so the
-    cube is built directly, without validating it again; it is
-    commutative and associative, and its left action at state i equals
-    G_i times the mixture matrix.
+    translate of the measure by the product i j.  The measure is scaled
+    once by the lcm of its denominators, the cube's D, and each of the n
+    integer translates is built once and shared by every (i, j) with that
+    product.  They are probability vectors times D, so the cube is built
+    without validating it again; it is commutative and associative, and
+    its left action at state i equals G_i times the mixture matrix.
     """
-    translates = _translates(table, validate_measure(measure))
-    return StructureCube(table.n, tuple(tuple(translates[s - 1] for s in row) for row in table.rows))
+    values = validate_measure(measure).values
+    common = math.lcm(*(q.denominator for q in values))
+    translates = _translates(table, [q.numerator * (common // q.denominator) for q in values])
+    planes = tuple(tuple(translates[s - 1] for s in row) for row in table.rows)
+    return StructureCube(table.n, common, planes)
 
 
 def degeneracy_check(table: CayleyTable, measure) -> DegeneracyVerdict:
@@ -119,7 +125,7 @@ def degeneracy_check(table: CayleyTable, measure) -> DegeneracyVerdict:
     witness.  Otherwise a rank drop of the mixture matrix, whose columns
     are the translates, is reported through its canonical kernel vector.
     """
-    translates = _translates(table, validate_measure(measure))
+    translates = _translates(table, validate_measure(measure).values)
     for h in range(1, table.n):
         if translates[h] == translates[0]:
             return DegeneracyVerdict(REPEATED_TRANSLATES, repeated_state=h + 1)

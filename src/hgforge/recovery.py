@@ -17,7 +17,9 @@ name the rejection: validation, commutativity, associativity (matrix
 route), the distinct-columns-and-full-rank test, column matching against
 the plane of state 1, the group axioms, and finally certification.  The
 success path never names a rejection, so every reason, witness and
-detail is the one the gates alone would give.
+detail is the one the gates alone would give.  Both end in the same
+read-off step: column matching, group axioms, certification.  All steps
+decide on the cube's integer planes (see core.StructureCube).
 
 A successful result is never taken on faith: the candidate pair is fed
 back through the forward construction and the rebuilt cube must equal
@@ -105,14 +107,14 @@ def validation_rejection(err: ValidationError) -> RecoveryResult:
 
 
 def _first_cube_mismatch(expected: StructureCube, actual: StructureCube):
-    for i in range(expected.n):
-        for j in range(expected.n):
-            col_e = expected.entries[i][j]
-            col_a = actual.entries[i][j]
-            if col_e != col_a:
-                k = next(k for k in range(expected.n) if col_e[k] != col_a[k])
-                return (i + 1, j + 1, k + 1), col_e[k], col_a[k]
-    return None
+    """None for equal cubes, else the first differing entry and both values,
+    located on the entries: the two cubes' denominators can differ."""
+    if (expected.denominator, expected.planes) == (actual.denominator, actual.planes):
+        return None
+    n, want, got = expected.n, expected.entries, actual.entries
+    cells = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
+    i, j, k = next((i, j, k) for i, j, k in cells if want[i][j][k] != got[i][j][k])
+    return (i + 1, j + 1, k + 1), want[i][j][k], got[i][j][k]
 
 
 def _certified_result(cube: StructureCube, table: CayleyTable, measure: MeasureVector) -> RecoveryResult:
@@ -136,14 +138,35 @@ def _match_columns(cube: StructureCube):
     (1, k) equals column (i + 1, j + 1), or (None, (i, j)) naming the
     first column that matches none.  Plane 1's columns must be distinct.
     """
-    state_of_column = {column: k + 1 for k, column in enumerate(cube.entries[0])}
+    state_of_column = {column: k + 1 for k, column in enumerate(cube.planes[0])}
     rows = []
-    for i, plane in enumerate(cube.entries):
+    for i, plane in enumerate(cube.planes):
         row = tuple(state_of_column.get(column) for column in plane)
         if None in row:
             return None, (i, row.index(None))
         rows.append(row)
     return tuple(rows), None
+
+
+def _read_off(cube: StructureCube) -> RecoveryResult:
+    """Column matching, the group axioms and certification, in that order.
+
+    Returns the certified result, or the rejection of the first of these
+    steps that fails.
+    """
+    rows, unmatched = _match_columns(cube)
+    if unmatched is not None:
+        i, j = unmatched
+        return _rejection(
+            COLUMN_MATCH_FAILURE,
+            Witness((i + 1, j + 1), "a column of state 1's plane", "an unmatched column"),
+            f"column ({i + 1}, {j + 1}) matches no column of state 1",
+        )
+    try:
+        table = CayleyTable(cube.n, rows)
+    except InvalidTable as err:
+        return _rejection(GROUP_AXIOM_FAILURE, detail=str(err))
+    return _certified_result(cube, table, validate_measure(cube.column(1, 1)))
 
 
 def _certify_first(cube: StructureCube) -> RecoveryResult | None:
@@ -154,18 +177,10 @@ def _certify_first(cube: StructureCube) -> RecoveryResult | None:
     as rows is the transpose of the mixture matrix, and every action
     matrix of the re-derived cube is a permutation times that matrix.
     """
-    n = cube.n
-    if len(set(cube.entries[0])) != n:
+    if len(set(cube.planes[0])) != cube.n:
         return None
-    rows, unmatched = _match_columns(cube)
-    if unmatched is not None:
-        return None
-    try:
-        table = CayleyTable(n, rows)
-    except InvalidTable:
-        return None
-    result = _certified_result(cube, table, validate_measure(cube.column(1, 1)))
-    if not result.recovered or rational_rank(cube.entries[0]) != n:
+    result = _read_off(cube)
+    if not result.recovered or rational_rank(cube.planes[0]) != cube.n:
         return None
     return result
 
@@ -195,22 +210,7 @@ def _gate_sequence(cube: StructureCube) -> RecoveryResult:
         )
 
     # the left action of state 1 has full rank, so its columns are distinct
-    rows, unmatched = _match_columns(cube)
-    if unmatched is not None:
-        i, j = unmatched
-        return _rejection(
-            COLUMN_MATCH_FAILURE,
-            Witness((i + 1, j + 1), "a column of state 1's plane", "an unmatched column"),
-            f"column ({i + 1}, {j + 1}) matches no column of state 1",
-        )
-
-    try:
-        table = CayleyTable(cube.n, rows)
-    except InvalidTable as err:
-        return _rejection(GROUP_AXIOM_FAILURE, detail=str(err))
-
-    measure = validate_measure(cube.column(1, 1))
-    return _certified_result(cube, table, measure)
+    return _read_off(cube)
 
 
 def recover(cube) -> RecoveryResult:

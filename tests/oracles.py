@@ -264,6 +264,14 @@ def relabel_cube(entries, perm):
     return out
 
 
+def _fraction_cube(entries):
+    return [[[Fraction(q) for q in col] for col in plane] for plane in entries]
+
+
+def _vector_text(values):
+    return "(" + ", ".join(str(v) for v in values) + ")"
+
+
 def oracle_associativity(entries):
     """Expected associativity-style reports of a cube, from first principles.
 
@@ -281,10 +289,7 @@ def oracle_associativity(entries):
       product-columns         per pair (k, j): k*(k*j) against (k*k)*j
     """
     n = len(entries)
-    cube = [
-        [[Fraction(q.numerator, q.denominator) for q in col] for col in plane]
-        for plane in entries
-    ]
+    cube = _fraction_cube(entries)
 
     def times(x, y):
         out = [Fraction(0)] * n
@@ -299,9 +304,6 @@ def oracle_associativity(entries):
     def point(state):
         return [Fraction(1 if k == state else 0) for k in range(n)]
 
-    def show(values):
-        return "(" + ", ".join(str(v) for v in values) + ")"
-
     left = {}  # (i, j, m) -> column of (i*j)*m
     right = {}  # (i, j, m) -> column of i*(j*m)
     for i in range(n):
@@ -311,7 +313,7 @@ def oracle_associativity(entries):
                 right[i, j, m] = times(point(i), cube[j][m])
 
     brute = [
-        ((i + 1, j + 1, m + 1), show(left[i, j, m]), show(right[i, j, m]))
+        ((i + 1, j + 1, m + 1), _vector_text(left[i, j, m]), _vector_text(right[i, j, m]))
         for i in range(n)
         for j in range(n)
         for m in range(n)
@@ -336,7 +338,7 @@ def oracle_associativity(entries):
                     )
                 )
     products = [
-        ((k + 1, j + 1), show(right[k, k, j]), show(left[k, k, j]))
+        ((k + 1, j + 1), _vector_text(right[k, k, j]), _vector_text(left[k, k, j]))
         for k in range(n)
         for j in range(n)
         if right[k, k, j] != left[k, k, j]
@@ -346,3 +348,90 @@ def oracle_associativity(entries):
         "associative-matrix": (len(matrix), matrix),
         "product-columns": (len(products), products),
     }
+
+
+def oracle_commutativity(entries):
+    """Witnesses of non-commutativity, pair by pair with i < j: the column
+    of (i, j) against the column of (j, i), compared entry by entry."""
+    cube = _fraction_cube(entries)
+    n = len(cube)
+    return [
+        ((i + 1, j + 1), _vector_text(cube[i][j]), _vector_text(cube[j][i]))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if any(a != b for a, b in zip(cube[i][j], cube[j][i]))
+    ]
+
+
+def oracle_distinct_columns(entries):
+    """Number of product columns equal to no column scanned before them."""
+    columns = [col for plane in _fraction_cube(entries) for col in plane]
+    return sum(all(col != earlier for earlier in columns[:index]) for index, col in enumerate(columns))
+
+
+def oracle_multiset_corollaries(entries):
+    """Expected witnesses of the three multiset corollaries, by name.
+
+    Multisets are compared as value counts (collections.Counter) and
+    shown sorted, as the package's reports show them:
+
+      column-contents       each column (i, j) against column (1, 1), then
+                            one witness with empty indices if the cube
+                            holds more than n distinct values
+      constant-diagonals    entry (j, j) of column (i, j) against entry
+                            (1, 1) of column (i, 1), for j > 1
+      row-column-contents   within plane i, columns 2..n and then rows
+                            1..n against column (i, 1)
+    """
+    from collections import Counter
+
+    cube = _fraction_cube(entries)
+    n = len(cube)
+
+    def differs(base, values):
+        return Counter(base) != Counter(values)
+
+    def witness(indices, base, values):
+        return (indices, _vector_text(sorted(base)), _vector_text(sorted(values)))
+
+    contents = [
+        witness((i + 1, j + 1), cube[0][0], cube[i][j])
+        for i in range(n)
+        for j in range(n)
+        if differs(cube[0][0], cube[i][j])
+    ]
+    values = {q for plane in cube for col in plane for q in col}
+    if len(values) > n:
+        contents.append(((), f"at most {n} distinct values in the cube", f"{len(values)} distinct values"))
+    diagonals = [
+        ((i + 1, j + 1), str(cube[i][0][0]), str(cube[i][j][j]))
+        for i in range(n)
+        for j in range(1, n)
+        if cube[i][j][j] != cube[i][0][0]
+    ]
+    rows_cols = []
+    for i in range(n):
+        base = cube[i][0]
+        rows_cols += [witness((i + 1, j + 1), base, cube[i][j]) for j in range(1, n) if differs(base, cube[i][j])]
+        for r in range(n):
+            row = [cube[i][c][r] for c in range(n)]
+            if differs(base, row):
+                rows_cols.append(witness((i + 1, r + 1), base, row))
+    return {"column-contents": contents, "constant-diagonals": diagonals, "row-column-contents": rows_cols}
+
+
+def oracle_violations(entries):
+    """Violations of an n*n*n cube of rationals, as (kind, indices, detail):
+    per column (i, j) in scan order, its negative entries, then its sum
+    if that is not one."""
+    cube = _fraction_cube(entries)
+    n = len(cube)
+    found = []
+    for i in range(n):
+        for j in range(n):
+            col = cube[i][j]
+            found += [("negative-entry", (i + 1, j + 1, k + 1), str(col[k])) for k in range(n) if col[k] < 0]
+            total = sum(col, Fraction(0))
+            if total != 1:
+                found.append(("column-sum-not-one", (i + 1, j + 1), f"sums to {total}"))
+    return found

@@ -1,11 +1,13 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from hgforge import (
     InvariantFactors,
     RationalMatrix,
+    ValidationError,
     cayley_table,
     check_corollaries,
     derive_cube,
@@ -25,6 +27,10 @@ from oracles import (
     left_action,
     matmul,
     oracle_associativity,
+    oracle_commutativity,
+    oracle_distinct_columns,
+    oracle_multiset_corollaries,
+    oracle_violations,
     relabel_cube,
     subgroup_element_sets,
     uniform_on_subgroup,
@@ -182,6 +188,82 @@ class TestCrossOracle:
         assert perturbed == 20
 
 
+def _oracle_cubes():
+    """Derived cubes, derived cubes perturbed over distinct primes (so D
+    exceeds every single denominator) and cubes of few distinct columns."""
+    rng = random.Random(6007)
+    primes = (7919, 7927, 7933, 7937)
+    cubes = []
+    perturbed = 0
+    for trial in range(36):
+        n = rng.randint(1, 6)
+        if trial % 3 == 2:
+            columns = [_random_column(rng, n) for _ in range(rng.randint(1, n))]
+            cubes.append(validate_cube([[rng.choice(columns) for _ in range(n)] for _ in range(n)]))
+            continue
+        cube = derive_cube(cayley_table(rng.choice(enumerate_abelian_groups(n))), random_measure(rng, n))
+        if trial % 3 == 1 and n > 1:
+            cube = _perturb_columns(cube, rng, primes[: 2 + trial % 2])
+            assert cube.denominator > max(q.denominator for plane in cube.entries for col in plane for q in col)
+            perturbed += 1
+        cubes.append(cube)
+    assert perturbed >= 8
+    return cubes
+
+
+class TestFractionOracles:
+    # every predicate decided on the integer planes gives the counts and
+    # witness strings that Fraction arithmetic gives
+    @pytest.mark.parametrize("cap", [1, 10**6])
+    def test_commutativity_and_multiset_corollaries(self, cap):
+        outcomes = set()
+        for cube in _oracle_cubes():
+            expected = {"commutative": oracle_commutativity(cube.entries), **oracle_multiset_corollaries(cube.entries)}
+            for report in [is_commutative(cube, cap), *check_corollaries(cube, cap)[:3]]:
+                witnesses = expected[report.name]
+                assert report.violation_count == len(witnesses), report.name
+                assert report.holds == (not witnesses)
+                assert [(w.indices, w.expected, w.actual) for w in report.witnesses] == witnesses[:cap]
+                outcomes.add((report.name, report.holds))
+        assert len(outcomes) == 8
+
+    def test_distinct_column_count(self):
+        counts = [
+            (satisfies_condition_A(cube).distinct_column_count, oracle_distinct_columns(cube.entries), cube.n)
+            for cube in _oracle_cubes()
+        ]
+        assert all(got == want for got, want, _ in counts)
+        assert any(got < n for got, _, n in counts)
+
+    def test_validation_violations(self):
+        rng = random.Random(8111)
+        verdicts = set()
+        for trial in range(60):
+            n = rng.randint(1, 4)
+            entries = [[_random_column(rng, n) for _ in range(n)] for _ in range(n)]
+            for _ in range(trial % 3):
+                i, j, k = (rng.randrange(n) for _ in range(3))
+                entries[i][j][k] = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 7919)))
+            expected = oracle_violations(entries)
+            verdicts.add(bool(expected))
+            if not expected:
+                validate_cube(entries)
+                continue
+            with pytest.raises(ValidationError) as err:
+                validate_cube(entries)
+            assert [(v.kind, v.indices, v.detail) for v in err.value.violations] == expected
+        assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "check", [is_commutative, is_associative_matrix, is_associative_bruteforce, check_corollaries]
+)
+@pytest.mark.parametrize("cap", [0, -3])
+def test_witness_cap_below_one_raises(z2_cube, check, cap):
+    with pytest.raises(ValueError, match="witness cap must be at least 1"):
+        check(z2_cube, cap)
+
+
 class TestConditionA:
     def test_z2_derived(self, z2_cube):
         report = satisfies_condition_A(z2_cube)
@@ -281,8 +363,8 @@ class TestCorollaries:
         ]
         assert all(r.holds for r in reports)
         # diagonal constants per action: 3/4 for state 1, 1/4 for state 2
-        assert z2_cube.value(1, 1, 1) == z2_cube.value(1, 2, 2) == rat(3, 4)
-        assert z2_cube.value(2, 1, 1) == z2_cube.value(2, 2, 2) == rat(1, 4)
+        assert z2_cube.column(1, 1)[0] == z2_cube.column(1, 2)[1] == rat(3, 4)
+        assert z2_cube.column(2, 1)[0] == z2_cube.column(2, 2)[1] == rat(1, 4)
 
     def test_z3_columns_are_permutations(self, z3_cube):
         reports = check_corollaries(z3_cube)

@@ -161,6 +161,16 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == "invalid cube: column-sum-not-one at (1, 1): sums to 1/2\n"
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_witness_cap_below_one_is_an_input_error(self, tmp_path, nonassoc_cube, capsys, cap, fmt):
+        path = tmp_path / "na.json"
+        write_document(path, cube_to_document(nonassoc_cube))
+        assert run_cli("check", path, "--witness-cap", cap, "--format", fmt) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: witness cap must be at least 1\n"
+
 
 class TestDerive:
     def test_writes_fixture_bytes(self, z2_files, capsys):
@@ -225,6 +235,16 @@ class TestRecover:
         assert "round-trip: exact" in out
         assert json.loads(group_out.read_text()) == {"cayley_table": [[1, 2], [2, 1]]}
         assert json.loads(measure_out.read_text()) == {"n": 2, "values": ["3/4", "1/4"]}
+
+    @pytest.mark.parametrize("flag", ["--out", "--out-measure"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_unwritable_output_exits_two_before_printing(self, z2_files, tmp_path, capsys, flag, fmt):
+        target = tmp_path / "missing-dir" / "out.json"
+        assert run_cli("recover", z2_files["cube"], flag, target, "--format", fmt) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not target.exists()
 
     def test_semilattice_reason(self, tmp_path, semilattice_cube, capsys):
         path = tmp_path / "semi.json"

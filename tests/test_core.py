@@ -14,7 +14,7 @@ from hgforge import (
     validate_cube,
     validate_measure,
 )
-from hgforge.core import integer_planes, rational_rank
+from hgforge.core import rational_rank
 from oracles import (
     assert_canonical_kernel,
     cofactor_det,
@@ -65,7 +65,7 @@ class TestRat:
 class TestValidateCube:
     def test_z2_fixture_valid(self, z2_cube):
         assert z2_cube.n == 2
-        assert z2_cube.value(1, 1, 1) == rat("3/4")
+        assert z2_cube.column(1, 1)[0] == rat("3/4")
         assert z2_cube.column(1, 2) == (rat("1/4"), rat("3/4"))
 
     def test_column_sum_violation(self):
@@ -177,8 +177,8 @@ class TestActionMatrices:
 
 class TestIntegerPlanes:
     def test_one_denominator(self, z3_cube):
-        common, planes = integer_planes(z3_cube)
-        assert common == 4
+        assert z3_cube.denominator == 4
+        planes = z3_cube.planes
         for i in range(3):
             for j in range(3):
                 for k in range(3):
@@ -192,7 +192,7 @@ class TestIntegerPlanes:
                 [["1/3", "2/3"], [1, 0]],
             ]
         )
-        assert integer_planes(cube) == (6, (((3, 3), (2, 4)), ((2, 4), (6, 0))))
+        assert (cube.denominator, cube.planes) == (6, (((3, 3), (2, 4)), ((2, 4), (6, 0))))
 
 
 def _measure_values(n):

@@ -99,7 +99,7 @@ class TestDeriveCube:
                     for j in range(1, n + 1):
                         for k in range(1, n + 1):
                             expected = 1 if table.product(i, j) == k else 0
-                            assert cube.value(i, j, k) == expected
+                            assert cube.column(i, j)[k - 1] == expected
 
     def test_against_independent_oracle(self):
         rng = random.Random(17)

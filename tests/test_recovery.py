@@ -133,6 +133,16 @@ class TestCertification:
         assert result.witness.expected == "3/4"
         assert result.witness.actual == "1/4"
 
+    def test_mismatch_across_denominators_names_the_first_entry(self, z3_cube):
+        # the cube is over D = 4 and the rebuilt one over D = 6; entry
+        # (1, 1, 1) is 1/2 in both, so the first mismatch is the next one
+        z3 = cayley_table(InvariantFactors((3,)))
+        result = _certified_result(z3_cube, z3, validate_measure(["1/2", "1/3", "1/6"]))
+        assert (z3_cube.denominator, derive_cube(z3, ["1/2", "1/3", "1/6"]).denominator) == (4, 6)
+        assert result.reason == "round-trip-mismatch"
+        assert (result.witness.indices, result.witness.expected, result.witness.actual) == ((1, 1, 2), "1/4", "1/3")
+        assert result.detail == "rebuilt cube differs from the input"
+
     def test_wrong_table_is_caught(self):
         z4 = cayley_table(InvariantFactors((4,)))
         klein = cayley_table(InvariantFactors((2, 2)))
