@@ -11,6 +11,7 @@ cube that admits one.
 from .core import (
     DimensionMismatch,
     MeasureVector,
+    OperandBoundError,
     RationalMatrix,
     StructureCube,
     ValidationError,
@@ -73,6 +74,7 @@ __all__ = [
     "InvariantFactors",
     "MeasureVector",
     "MixtureMatrix",
+    "OperandBoundError",
     "PropertyReport",
     "RationalMatrix",
     "RecoveryResult",

@@ -155,25 +155,17 @@ def cmd_check(args):
         return EXIT_FAILS
     reports = _selected_reports(cube, args.property, args.witness_cap)
 
-    all_hold = True
     json_properties = []
     for kind, report in reports:
         if kind == "property":
-            all_hold &= report.holds
             json_properties.append(_property_json(report))
         elif kind == "condition-a":
-            all_hold &= report.holds
             json_properties.append(_condition_a_json(report))
         else:
-            group_holds = all(r.holds for r in report)
-            all_hold &= group_holds
-            json_properties.append(
-                {
-                    "name": "corollaries",
-                    "holds": group_holds,
-                    "reports": [_property_json(r) for r in report],
-                }
-            )
+            group = [_property_json(r) for r in report]
+            holds = all(r["holds"] for r in group)
+            json_properties.append({"name": "corollaries", "holds": holds, "reports": group})
+    all_hold = all(p["holds"] for p in json_properties)
 
     document = {
         "schema": SCHEMA,
@@ -196,8 +188,7 @@ def cmd_check(args):
                     f"{report.n}; left ranks {ranks_left}; right ranks {ranks_right})"
                 )
             else:
-                group_holds = all(r.holds for r in report)
-                print(f"corollaries: {'holds' if group_holds else 'fails'}")
+                print(f"corollaries: {'holds' if all(r.holds for r in report) else 'fails'}")
                 for sub in report:
                     _print_property_text(sub, indent="  ")
 

@@ -12,11 +12,14 @@ underlying tuples are plain 0-based storage.
 A cube holds its entries once, as Python ints over one common
 denominator D (see StructureCube), and every predicate decides on those
 ints: column equality and multisets on int tuples, associativity on
-identities that scale by D**2.  fractions.Fraction, the package's only
-rational type, appears at the boundary only: parsing, measures, report
-text, documents, and StructureCube.entries and column().  Ranks and
-kernel vectors both come from one fraction-free (Bareiss) elimination on
-integer rows (see rational_rank and RationalMatrix.kernel_vector).
+identities that scale by D**2.  Only scale_to_integers computes and
+bounds D, and validate_cube and derive_cube build every cube through it;
+an int scalar is used as it is, never wrapped.  fractions.Fraction, the
+package's only rational type, appears at the boundary only: parsing,
+measures, report text, documents, and StructureCube.entries and column().
+Ranks and kernel vectors both come from one fraction-free (Bareiss)
+elimination on integer rows (see rational_rank and
+RationalMatrix.kernel_vector).
 """
 
 from __future__ import annotations
@@ -25,6 +28,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+
+# Bound on the digits of the common denominator D of a cube's entries or a
+# measure's values, and of each numerator over D: half of CPython's limit of
+# 4300 digits on an integer string, so every rational a report prints can be
+# rendered.  A witness over D**2 has a numerator at most D**2 on a valid cube
+# (each column sums to one); a column sum has a denominator dividing D and a
+# numerator at most n times the widest one.
+MAX_OPERAND_DIGITS = 2150
+_OPERAND_LIMIT = 10**MAX_OPERAND_DIGITS
 
 
 def rat(value, denominator=None):
@@ -77,6 +89,10 @@ class ValidationError(ValueError):
         if more > 0:
             shown += f"; and {more} more"
         super().__init__(shown)
+
+
+class OperandBoundError(ValueError):
+    """A common denominator, or a numerator over it, is past MAX_OPERAND_DIGITS."""
 
 
 class DimensionMismatch(ValueError):
@@ -187,6 +203,23 @@ class RationalMatrix:
 # cubes and measures
 
 
+def scale_to_integers(values):
+    """(D, ints) for a flat sequence of ints and Fractions: D, the lcm of
+    their denominators, and each value times D.  OperandBoundError as soon
+    as the lcm, or then an int, has more than MAX_OPERAND_DIGITS digits."""
+    denominators = {q.denominator for q in values}
+    common = 1
+    for d in denominators:
+        common = math.lcm(common, d)
+        if common >= _OPERAND_LIMIT:
+            raise OperandBoundError(f"the common denominator exceeds {MAX_OPERAND_DIGITS} digits")
+    scale = {d: common // d for d in denominators}
+    ints = [q.numerator * scale[q.denominator] for q in values]
+    if ints and (max(ints) >= _OPERAND_LIMIT or min(ints) <= -_OPERAND_LIMIT):
+        raise OperandBoundError(f"a numerator over the common denominator exceeds {MAX_OPERAND_DIGITS} digits")
+    return common, ints
+
+
 @dataclass(frozen=True)
 class StructureCube:
     """Validated n*n*n cube of product coefficients, 0-based storage.
@@ -194,10 +227,13 @@ class StructureCube:
     denominator is D, the lcm of the denominators of all entries, and
     planes[i][j][k] is the Python int D * entry (i, j, k).  Column (i, j),
     the product of states i+1 and j+1, is a nonnegative vector summing to
-    one, so planes[i][j] sums to D.  Two cubes are equal exactly when their
-    entries are, since D is determined by the entries.  Build instances
-    with validate_cube or derive_cube, which establish all of this; the
-    constructor checks nothing.
+    one, so planes[i][j] sums to D.  D and every int of planes have at
+    most MAX_OPERAND_DIGITS digits, so every witness over D**2 renders.
+    Two cubes are equal exactly when their entries are, since D is
+    determined by the entries.  Build instances with validate_cube or
+    derive_cube, which establish all of this (through scale_to_integers,
+    raising OperandBoundError past the bound); the constructor checks
+    nothing.
     """
 
     n: int
@@ -226,16 +262,13 @@ class MeasureVector:
     n: int
     values: tuple
 
-    def value(self, k):
-        return self.values[k - 1]
-
 
 def validate_cube(raw) -> StructureCube:
     """Check shape, nonnegativity, and column sums; return the cube.
 
     Raises ValidationError carrying every violation found, so an invalid
-    input is reported in full rather than one problem at a time.  Raises
-    TypeError if any entry is a float.
+    input is reported in full rather than one problem at a time; TypeError
+    for a float entry; OperandBoundError from scale_to_integers.
     """
     if isinstance(raw, StructureCube):
         return raw
@@ -245,25 +278,21 @@ def validate_cube(raw) -> StructureCube:
         raise ValidationError([Violation("shape-mismatch", (), "cube must be a nested sequence")])
     if n < 1:
         raise ValidationError([Violation("shape-mismatch", (), "need at least one state")])
-    rows = []
+    values = []
     for i, plane in enumerate(raw):
         if len(plane) != n:
             raise ValidationError(
                 [Violation("shape-mismatch", (i + 1,), f"expected {n} columns, found {len(plane)}")]
             )
-        cols = []
         for j, col in enumerate(plane):
             if len(col) != n:
                 raise ValidationError(
                     [Violation("shape-mismatch", (i + 1, j + 1), f"expected {n} entries, found {len(col)}")]
                 )
-            cols.append([rat(x) for x in col])
-        rows.append(cols)
-    common = math.lcm(*{q.denominator for plane in rows for col in plane for q in col})
-    planes = tuple(
-        tuple(tuple(q.numerator * (common // q.denominator) for q in col) for col in plane)
-        for plane in rows
-    )
+            values += [x if type(x) is int else rat(x) for x in col]
+    common, ints = scale_to_integers(values)
+    columns = [tuple(ints[start:start + n]) for start in range(0, n**3, n)]
+    planes = tuple(tuple(columns[start:start + n]) for start in range(0, n * n, n))
 
     violations = []
     for i, plane in enumerate(planes):

@@ -17,7 +17,6 @@ singular (the action matrices then drop rank).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import (
@@ -25,6 +24,7 @@ from .core import (
     MeasureVector,
     RationalMatrix,
     StructureCube,
+    scale_to_integers,
     validate_measure,
 )
 from .groups import CayleyTable
@@ -102,16 +102,16 @@ def derive_cube(table: CayleyTable, measure) -> StructureCube:
     """Cube of all pairwise products of measure translates.
 
     Entry (i, j, k) is the measure of k (i j)^{-1}: column (i, j) is the
-    translate of the measure by the product i j.  The measure is scaled
-    once by the lcm of its denominators, the cube's D, and each of the n
-    integer translates is built once and shared by every (i, j) with that
-    product.  They are probability vectors times D, so the cube is built
-    without validating it again; it is commutative and associative, and
-    its left action at state i equals G_i times the mixture matrix.
+    translate of the measure by the product i j.  scale_to_integers
+    scales the measure once to ints over D, or raises OperandBoundError,
+    and each of the n integer translates is built once and shared by every
+    (i, j) with that product.  They are probability vectors times D, so the
+    cube is built without validating it again; it is commutative and
+    associative, and its left action at state i equals G_i times the
+    mixture matrix.
     """
-    values = validate_measure(measure).values
-    common = math.lcm(*(q.denominator for q in values))
-    translates = _translates(table, [q.numerator * (common // q.denominator) for q in values])
+    common, ints = scale_to_integers(validate_measure(measure).values)
+    translates = _translates(table, ints)
     planes = tuple(tuple(translates[s - 1] for s in row) for row in table.rows)
     return StructureCube(table.n, common, planes)
 

@@ -7,17 +7,19 @@ Three document kinds, all plain JSON:
   group    {"invariant_factors": [2, 4]}  or  {"cayley_table": [[..], ..]}
 
 Scalars are JSON integers or strings: "3/4" (lowest terms on output) or
-a decimal like "0.75", both parsed exactly.  A decimal's exponent may
-not exceed MAX_DECIMAL_EXPONENT in magnitude, so a short string such as
-"1e-3000000" cannot stall parsing; its digits are already bounded by
-CPython's limit on the digits of an integer string.  The entries of a
-cube, and the values of a measure, written over their common
-denominator, must stay within MAX_OPERAND_DIGITS (see there), so that
-every rational a report prints can be rendered.  Bare JSON floats are
+a decimal like "0.75", both parsed exactly; a JSON integer in a cube is
+kept as the int itself.  A decimal's exponent may not exceed
+MAX_DECIMAL_EXPONENT in magnitude, so a short string such as "1e-3000000"
+cannot stall parsing; its digits are already bounded by CPython's limit
+on the digits of an integer string.  The entries of a cube, and the
+values of a measure, written over their common denominator, must stay
+within MAX_OPERAND_DIGITS: core.scale_to_integers enforces it, and its
+OperandBoundError becomes a FormatError here.  Bare JSON floats are
 rejected with a pointer to the quoting rule, because a float has already
-lost exactness before this library ever sees it.  A group document must
-carry exactly one of its two fields, name a group of order at most
-groups.DEFAULT_ORDER_CAP, and satisfy the group axioms; Cayley tables are
+lost exactness before this library ever sees it.  A cube or group
+document names an order of at most groups.DEFAULT_ORDER_CAP, checked
+before any scalar or table is read.  A group document must carry exactly
+one of its two fields and satisfy the group axioms; Cayley tables are
 1-based with the identity at state 1.
 
 Serialization is canonical: fixed key order, two-space indent, lowest
@@ -28,24 +30,17 @@ bytes, which the command-line tools rely on for deterministic output.
 from __future__ import annotations
 
 import json
-import math
 import re
 
-from .core import MeasureVector, StructureCube, rat, validate_cube, validate_measure
+from .core import (  # MAX_OPERAND_DIGITS is re-exported
+    MAX_OPERAND_DIGITS, MeasureVector, OperandBoundError, StructureCube, rat, scale_to_integers,
+    validate_cube, validate_measure,
+)
 from .groups import DEFAULT_ORDER_CAP, CayleyTable, InvalidTable, InvariantFactors, cayley_table
 
 
 # CPython's default limit on the digits of an integer string
 MAX_DECIMAL_EXPONENT = 4300
-
-# Bound on the digits of the common denominator D of a document's scalars
-# and of each numerator over D.  Half the limit above leaves room for every
-# rational a report prints: an associativity or product-columns witness is
-# a sum of products of two entries over D**2, whose numerator on a valid
-# cube is at most D**2 (each column sums to one), and a column sum, the
-# only other derived value, has a denominator dividing D and a numerator
-# at most n times the widest one.
-MAX_OPERAND_DIGITS = MAX_DECIMAL_EXPONENT // 2
 
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
@@ -79,22 +74,6 @@ def parse_scalar(value, where):
     raise FormatError(f"{where}: expected an int or a string, found {type(value).__name__}")
 
 
-def _bound_operands(values, where):
-    """FormatError unless the values' common denominator D and every
-    numerator over D have at most MAX_OPERAND_DIGITS digits."""
-    limit = 10**MAX_OPERAND_DIGITS
-    common = 1
-    for d in {q.denominator for q in values}:
-        common = math.lcm(common, d)
-        if common >= limit:
-            raise FormatError(f"{where}: the common denominator exceeds {MAX_OPERAND_DIGITS} digits")
-    for q in values:
-        if abs(q.numerator) * (common // q.denominator) >= limit:
-            raise FormatError(
-                f"{where}: a numerator over the common denominator exceeds {MAX_OPERAND_DIGITS} digits"
-            )
-
-
 def scalar_to_json(q):
     """Canonical JSON form: bare int when integral, else "p/q" lowest terms."""
     if q.denominator == 1:
@@ -123,23 +102,27 @@ def _require_list(value, length, where):
 
 
 def parse_cube_document(doc) -> StructureCube:
-    """Cube from a decoded JSON document; shape errors are FormatError,
-    constraint violations surface as ValidationError from validate_cube."""
+    """Cube from a decoded JSON document; shape errors and an order above
+    DEFAULT_ORDER_CAP are FormatError, constraint violations surface as
+    ValidationError from validate_cube."""
     _require_object(doc, "cube")
     n = _require_n(doc, "cube")
-    entries = _require_list(doc.get("entries"), n, "entries")
-    raw = []
-    for i, plane in enumerate(entries):
-        plane = _require_list(plane, n, f"entries[{i}]")
-        raw_plane = []
-        for j, column in enumerate(plane):
-            column = _require_list(column, n, f"entries[{i}][{j}]")
-            raw_plane.append(
-                [parse_scalar(x, f"entries[{i}][{j}][{k}]") for k, x in enumerate(column)]
-            )
-        raw.append(raw_plane)
-    _bound_operands([q for plane in raw for column in plane for q in column], "entries")
-    return validate_cube(raw)
+    if n > DEFAULT_ORDER_CAP:
+        raise FormatError(f"n: cube order {n} exceeds the cap {DEFAULT_ORDER_CAP}")
+    raw = [
+        [
+            [
+                x if type(x) is int else parse_scalar(x, f"entries[{i}][{j}][{k}]")
+                for k, x in enumerate(_require_list(column, n, f"entries[{i}][{j}]"))
+            ]
+            for j, column in enumerate(_require_list(plane, n, f"entries[{i}]"))
+        ]
+        for i, plane in enumerate(_require_list(doc.get("entries"), n, "entries"))
+    ]
+    try:
+        return validate_cube(raw)
+    except OperandBoundError as err:
+        raise FormatError(f"entries: {err}") from None
 
 
 def parse_measure_document(doc) -> MeasureVector:
@@ -147,7 +130,10 @@ def parse_measure_document(doc) -> MeasureVector:
     n = _require_n(doc, "measure")
     values = _require_list(doc.get("values"), n, "values")
     values = [parse_scalar(x, f"values[{k}]") for k, x in enumerate(values)]
-    _bound_operands(values, "values")
+    try:
+        scale_to_integers(values)
+    except OperandBoundError as err:
+        raise FormatError(f"values: {err}") from None
     return validate_measure(values)
 
 

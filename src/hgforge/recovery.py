@@ -231,11 +231,10 @@ def recover(cube) -> RecoveryResult:
     The result, reason, witness and detail included, is the one the gates
     alone would return.
     """
-    if not isinstance(cube, StructureCube):
-        try:
-            cube = validate_cube(cube)
-        except ValidationError as err:
-            return validation_rejection(err)
+    try:
+        cube = validate_cube(cube)
+    except ValidationError as err:
+        return validation_rejection(err)
     certified = _certify_first(cube)
     if certified is not None:
         return certified

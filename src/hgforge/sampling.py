@@ -32,18 +32,18 @@ def random_measure(rng, n, denominator=DEFAULT_DENOMINATOR, positive=False) -> M
 
 
 def random_nondegenerate_measure(
-    rng, table, denominator=DEFAULT_DENOMINATOR, positive=False, distinct=False, max_attempts=10000
+    rng, table, denominator=DEFAULT_DENOMINATOR, positive=False, distinct=False
 ) -> MeasureVector:
     """Rejection-sample a measure whose derived cube keeps full structure.
 
     distinct=True additionally requires all n values to differ, which is
     what single-value group extraction needs.
     """
-    for _ in range(max_attempts):
+    for _ in range(10000):
         measure = random_measure(rng, table.n, denominator, positive)
         if distinct and len(set(measure.values)) != table.n:
             continue
         if degeneracy_check(table, measure).degenerate:
             continue
         return measure
-    raise RuntimeError(f"no non-degenerate measure found in {max_attempts} attempts")
+    raise RuntimeError("no non-degenerate measure found in 10000 attempts")

@@ -3,16 +3,21 @@
     PYTHONPATH=src python tests/data/make_golden_reports.py
 
 Builds about a dozen small cubes (n <= 5) from first principles with
-stdlib Fractions, runs validate, check and recover on each through
-hgforge.cli.main in-process, and writes every input document with the
-stdout, stderr and exit code of each command to golden_reports.json
-next to this file.  Rerun it only to re-record after an intended change
+stdlib Fractions, plus a cube whose entries mix JSON ints, "p/q" and
+decimal strings and a set of documents the loader refuses (floats,
+booleans, wide exponents, operands past the digit bound, wrong JSON
+types, an order past the cap).  It runs validate, check and recover on
+each through hgforge.cli.main in-process, from inside a temporary
+directory so that an error message names the file as "cube.json", and
+writes every input document with the stdout, stderr and exit code of
+each command to golden_reports.json next to this file.  Rerun it only to re-record after an intended change
 of output; the test then pins the new bytes.
 """
 
 import contextlib
 import io
 import json
+import os
 import sys
 import tempfile
 from fractions import Fraction
@@ -97,6 +102,57 @@ def document(entries):
     return {"n": len(entries), "entries": [[[scalar(q) for q in col] for col in plane] for plane in entries]}
 
 
+# D of the two coprime entries is past the 2150-digit bound; each alone is not
+WIDE_A, WIDE_B = 10**1100 + 1, 10**1100 + 3
+# one entry with a 2150-digit denominator
+WIDE_D = 10**2149 + 1
+
+
+def refused_documents():
+    """Documents the loader refuses with exit code 2, by name."""
+    found = {}
+    found["load-bare-float"] = {"n": 2, "entries": [[[0.75, "1/4"], ["1/4", "3/4"]], [["1/4", "3/4"], ["3/4", "1/4"]]]}
+    found["load-boolean"] = {"n": 2, "entries": [[[1, 0], [0, True]], [[0, 1], [1, 0]]]}
+    found["load-exponent-past-4300"] = {"n": 1, "entries": [[["1e-4301"]]]}
+    found["load-denominator-one-wide-entry"] = {"n": 1, "entries": [[[f"1/{10**2150}"]]]}
+    found["load-denominator-two-coprime-entries"] = {
+        "n": 2,
+        "entries": [
+            [[f"1/{WIDE_A}", f"{WIDE_A - 1}/{WIDE_A}"], [0, 1]],
+            [[0, 1], [f"1/{WIDE_B}", f"{WIDE_B - 1}/{WIDE_B}"]],
+        ],
+    }
+    found["load-numerator-over-wide-denominator"] = {
+        "n": 2,
+        "entries": [[[f"1/{WIDE_D}", f"{WIDE_D - 1}/{WIDE_D}"], [0, 1]], [[0, 1], [11, -10]]],
+    }
+    found["load-numerator-json-int"] = {"n": 1, "entries": [[[10**2150]]]}
+    found["load-not-an-object"] = [[[1]]]
+    found["load-n-not-an-integer"] = {"n": "2", "entries": []}
+    found["load-entries-not-a-list"] = {"n": 1, "entries": {"0": [[1]]}}
+    found["load-column-not-a-list"] = {"n": 2, "entries": [[[1, 0], 7], [[0, 1], [1, 0]]]}
+    found["load-entry-null"] = {"n": 2, "entries": [[[1, 0], [0, 1]], [[0, None], [1, 0]]]}
+    found["load-entry-object"] = {"n": 1, "entries": [[[{"p": 1, "q": 1}]]]}
+    found["load-order-past-the-cap"] = {"n": 257, "entries": []}
+    return found
+
+
+def mixed_document():
+    """Z_3 derived from (1/2, 1/2, 0), each entry 1/2 written one of five
+    ways and each 0 as the JSON int: the loader must read all of them as
+    the same scalars."""
+    halves = ["1/2", "0.5", "2/4", "5e-1", "0.50"]
+    entries = cyclic([1, 1, 0])
+    count = 0
+    for plane in entries:
+        for column in plane:
+            for k, x in enumerate(column):
+                if x:
+                    column[k] = halves[count % len(halves)]
+                    count += 1
+    return {"n": 3, "entries": entries}
+
+
 def run(main, path, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -108,14 +164,20 @@ def record():
     sys.path.insert(0, str(HERE.parent.parent / "src"))
     from hgforge.cli import main
 
+    documents = {name: document(entries) for name, entries in cubes().items()}
+    documents["z3-mixed-scalar-forms"] = mixed_document()
+    documents.update(refused_documents())
     cases = []
+    home = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
-        for name, entries in cubes().items():
-            doc = document(entries)
-            path = str(Path(workdir) / "cube.json")
-            Path(path).write_text(json.dumps(doc), encoding="utf-8")
-            runs = [run(main, path, argv) for argv in COMMANDS]
-            cases.append({"name": name, "cube": doc, "runs": runs})
+        os.chdir(workdir)
+        try:
+            for name, doc in documents.items():
+                Path("cube.json").write_text(json.dumps(doc), encoding="utf-8")
+                runs = [run(main, "cube.json", argv) for argv in COMMANDS]
+                cases.append({"name": name, "cube": doc, "runs": runs})
+        finally:
+            os.chdir(home)
     OUT.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
     return cases
 

@@ -435,3 +435,34 @@ def oracle_violations(entries):
             if total != 1:
                 found.append(("column-sum-not-one", (i + 1, j + 1), f"sums to {total}"))
     return found
+
+
+# digits allowed in a document's common denominator and in each numerator over it
+OPERAND_DIGITS = 2150
+
+
+def oracle_load(doc):
+    """What loading a well-typed cube document must give, in Fractions.
+
+    doc is {"n": n, "entries": n*n*n} with JSON ints, "p/q" strings and
+    decimal strings.  Returns ("bound", "denominator") when the common
+    denominator D reaches OPERAND_DIGITS digits, ("bound", "numerator")
+    when some entry times D does, ("violations", oracle_violations(...))
+    for a cube that breaks its constraints, and ("cube", D, planes) with
+    planes[i][j][k] = D * entry as nested lists of ints otherwise.
+    """
+    entries = [[[Fraction(x) for x in col] for col in plane] for plane in doc["entries"]]
+    flat = [q for plane in entries for col in plane for q in col]
+    common = 1
+    for q in flat:
+        common = common * q.denominator // math.gcd(common, q.denominator)
+    limit = 10**OPERAND_DIGITS
+    if common >= limit:
+        return ("bound", "denominator")
+    planes = [[[int(q * common) for q in col] for col in plane] for plane in entries]
+    if any(abs(x) >= limit for plane in planes for col in plane for x in col):
+        return ("bound", "numerator")
+    violations = oracle_violations(entries)
+    if violations:
+        return ("violations", violations)
+    return ("cube", common, planes)

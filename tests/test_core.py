@@ -8,13 +8,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hgforge import (
+    InvariantFactors,
+    OperandBoundError,
     RationalMatrix,
     ValidationError,
+    cayley_table,
+    derive_cube,
     rat,
     validate_cube,
     validate_measure,
 )
-from hgforge.core import rational_rank
+from hgforge.core import MAX_OPERAND_DIGITS, rational_rank, scale_to_integers
 from oracles import (
     assert_canonical_kernel,
     cofactor_det,
@@ -126,7 +130,7 @@ class TestValidateCube:
 class TestValidateMeasure:
     def test_valid(self):
         m = validate_measure(["3/4", "1/4"])
-        assert m.n == 2 and m.value(1) == rat(3, 4)
+        assert m.n == 2 and m.values[0] == rat(3, 4)
 
     def test_sum_violation(self):
         with pytest.raises(ValidationError) as exc:
@@ -193,6 +197,46 @@ class TestIntegerPlanes:
             ]
         )
         assert (cube.denominator, cube.planes) == (6, (((3, 3), (2, 4)), ((2, 4), (6, 0))))
+
+
+class TestOperandBound:
+    """Every cube meets the operand bound; library calls past it raise."""
+
+    WIDE = 10**MAX_OPERAND_DIGITS
+
+    def test_error_is_a_value_error_but_not_a_validation_error(self):
+        assert issubclass(OperandBoundError, ValueError)
+        assert not issubclass(OperandBoundError, ValidationError)
+
+    def test_scale_to_integers(self):
+        assert scale_to_integers([Fraction(1, 2), 3, Fraction(-2, 3)]) == (6, [3, 18, -4])
+        assert scale_to_integers([]) == (1, [])
+
+    def test_validate_cube_refuses_a_wide_denominator(self):
+        message = f"the common denominator exceeds {MAX_OPERAND_DIGITS} digits"
+        wide_column = [Fraction(1, self.WIDE), 1 - Fraction(1, self.WIDE)]
+        for entries in ([[[Fraction(1, self.WIDE)]]], [[["1/2", "1/2"], [1, 0]], [[0, 1], wide_column]]):
+            with pytest.raises(OperandBoundError, match=message):
+                validate_cube(entries)
+
+    def test_validate_cube_refuses_a_wide_numerator(self):
+        message = f"a numerator over the common denominator exceeds {MAX_OPERAND_DIGITS} digits"
+        for entry in (self.WIDE, -self.WIDE, Fraction(self.WIDE, 3)):
+            with pytest.raises(OperandBoundError, match=message):
+                validate_cube([[[entry]]])
+
+    def test_validate_cube_at_the_bound(self):
+        d = self.WIDE - 1
+        cube = validate_cube([[[Fraction(1, d), Fraction(d - 1, d)]] * 2] * 2)
+        assert (cube.denominator, cube.planes[1][1]) == (d, (1, d - 1))
+
+    def test_derive_cube_refuses_a_wide_measure(self):
+        table = cayley_table(InvariantFactors((2,)))
+        wide = validate_measure([Fraction(1, self.WIDE), 1 - Fraction(1, self.WIDE)])
+        with pytest.raises(OperandBoundError, match="common denominator exceeds"):
+            derive_cube(table, wide)
+        d = self.WIDE - 1
+        assert derive_cube(table, [Fraction(1, d), Fraction(d - 1, d)]).denominator == d
 
 
 def _measure_values(n):

@@ -1,8 +1,11 @@
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgforge import InvariantFactors, ValidationError, cayley_table, rat
 from hgforge.groups import DEFAULT_ORDER_CAP
@@ -23,6 +26,7 @@ from hgforge.formats import (
     serialize,
     write_document,
 )
+from oracles import oracle_load
 
 
 class TestScalars:
@@ -143,6 +147,148 @@ class TestOperandDigits:
         doc = {"n": 2, "entries": [[[f"1/{d}", f"{d - 1}/{d}"], [0, 1]], [[0, 1], [11, -10]]]}
         with pytest.raises(FormatError, match="numerator"):
             parse_cube_document(doc)
+
+
+class TestCubeOrderCap:
+    """A cube's order is bounded by the group-order cap, before any scalar is parsed."""
+
+    def test_order_past_the_cap_refused_before_any_scalar(self, monkeypatch):
+        import hgforge.formats as formats
+
+        def no_scalar(*args):
+            raise AssertionError("a scalar was parsed")
+
+        monkeypatch.setattr(formats, "parse_scalar", no_scalar)
+        n = DEFAULT_ORDER_CAP + 1
+        message = f"n: cube order {n} exceeds the cap {DEFAULT_ORDER_CAP}"
+        for entries in ([], [[["1/2"]]]):
+            with pytest.raises(FormatError, match=re.escape(message)):
+                parse_cube_document({"n": n, "entries": entries})
+
+    def test_order_at_the_cap_reaches_the_entries_check(self):
+        with pytest.raises(FormatError, match=re.escape(f"entries: expected {DEFAULT_ORDER_CAP} items, found 0")):
+            parse_cube_document({"n": DEFAULT_ORDER_CAP, "entries": []})
+
+    def test_path_and_cap_in_the_file_error(self, tmp_path):
+        path = tmp_path / "cube.json"
+        path.write_text('{"n": 257, "entries": []}')
+        with pytest.raises(FormatError) as err:
+            load_cube(path)
+        assert str(err.value) == f"{path}: n: cube order 257 exceeds the cap 256"
+
+
+class TestOneLoadingPass:
+    def test_json_ints_are_not_parsed(self, monkeypatch):
+        import hgforge.formats as formats
+
+        parsed = []
+
+        def counting(value, where):
+            parsed.append(where)
+            return parse_scalar(value, where)
+
+        monkeypatch.setattr(formats, "parse_scalar", counting)
+        doc = {"n": 2, "entries": [[["1/2", "0.5"], [0, 1]], [[1, 0], ["5e-1", "2/4"]]]}
+        cube = parse_cube_document(doc)
+        assert parsed == ["entries[0][0][0]", "entries[0][0][1]", "entries[1][1][0]", "entries[1][1][1]"]
+        assert (cube.denominator, cube.planes) == (2, (((1, 1), (0, 2)), ((2, 0), (1, 1))))
+
+    def test_boolean_entry_still_refused(self):
+        with pytest.raises(FormatError, match=re.escape("entries[0][0][0]: expected a number, found a boolean")):
+            parse_cube_document({"n": 1, "entries": [[[True]]]})
+
+    def test_lcm_stops_at_the_bound(self):
+        # each of the 1000 denominators has 2101 digits, under the bound;
+        # their full lcm would have over two million
+        base = 10**2100
+        denominators = iter(base + 2 * k + 1 for k in range(1000))
+        entries = [[[f"1/{next(denominators)}" for _ in range(10)] for _ in range(10)] for _ in range(10)]
+        start = time.perf_counter()
+        with pytest.raises(FormatError, match="entries: the common denominator exceeds 2150 digits"):
+            parse_cube_document({"n": 10, "entries": entries})
+        assert time.perf_counter() - start < 5
+
+
+# entries to widen a document with: each tuple alone keeps the operands
+# within the bound (one 2150-digit denominator) or pushes D (10**2150, or
+# two coprime 1101-digit denominators) or a numerator over D past it
+_WIDENINGS = (
+    (),
+    (Fraction(1, 10**2149 + 1),),
+    (Fraction(1, 10**2150),),
+    (Fraction(1, 10**1100 + 1), Fraction(1, 10**1100 + 3)),
+    (Fraction(10**2150),),
+    (Fraction(-(10**2150)),),
+    (Fraction(1, 10**2149 + 1), Fraction(11)),
+)
+
+
+def _decimal_text(q, exponent_form):
+    """q as an exact decimal string, or None if its expansion does not end."""
+    d, twos, fives = q.denominator, 0, 0
+    while d % 2 == 0:
+        d, twos = d // 2, twos + 1
+    while d % 5 == 0:
+        d, fives = d // 5, fives + 1
+    if d != 1:
+        return None
+    places = max(twos, fives)
+    digits = q.numerator * 10**places // q.denominator
+    if exponent_form:
+        return f"{digits}e-{places}"
+    sign, text = ("-" if digits < 0 else ""), str(abs(digits)).rjust(places + 1, "0")
+    return sign + (f"{text[:-places]}.{text[-places:]}" if places else text)
+
+
+@st.composite
+def _scalar_text(draw, q):
+    form = draw(st.sampled_from(["int", "ratio", "scaled", "decimal", "exponent"]))
+    if form == "int" and q.denominator == 1:
+        return q.numerator
+    if form in ("decimal", "exponent"):
+        text = _decimal_text(q, form == "exponent")
+        if text is not None:
+            return text
+    scale = draw(st.integers(2, 5)) if form == "scaled" else 1
+    return f"{q.numerator * scale}/{q.denominator * scale}"
+
+
+@st.composite
+def _cube_documents(draw):
+    """Cube documents of order 1-3: probability columns and arbitrary ones,
+    some entries widened past the operand bound, every scalar written in
+    a random one of the accepted forms."""
+    n = draw(st.integers(1, 3))
+    valid = draw(st.booleans())
+    entries = []
+    for _ in range(n * n):
+        if valid or draw(st.booleans()):
+            weights = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n).filter(any))
+            entries.append([Fraction(w, sum(weights)) for w in weights])
+        else:
+            denominators = st.sampled_from([1, 2, 3, 4, 5, 8, 10, 25])
+            entries.append([Fraction(draw(st.integers(-3, 6)), draw(denominators)) for _ in range(n)])
+    for value in draw(st.sampled_from(_WIDENINGS[:1] * 4 + _WIDENINGS)):
+        entries[draw(st.integers(0, n * n - 1))][draw(st.integers(0, n - 1))] = value
+    columns = [[draw(_scalar_text(q)) for q in col] for col in entries]
+    return {"n": n, "entries": [columns[i * n:(i + 1) * n] for i in range(n)]}
+
+
+@settings(max_examples=150)
+@given(doc=_cube_documents())
+def test_loading_agrees_with_the_fraction_oracle(doc):
+    expected = oracle_load(doc)
+    doc = json.loads(json.dumps(doc))
+    try:
+        cube = parse_cube_document(doc)
+    except FormatError as err:
+        phrase = {"denominator": "the common denominator exceeds", "numerator": "a numerator over the common"}
+        assert expected[0] == "bound" and str(err).startswith(f"entries: {phrase[expected[1]]}")
+    except ValidationError as err:
+        assert expected == ("violations", [(v.kind, v.indices, v.detail) for v in err.violations])
+    else:
+        planes = [[list(col) for col in plane] for plane in cube.planes]
+        assert expected == ("cube", cube.denominator, planes)
 
 
 class TestMeasureDocuments:
