@@ -135,12 +135,21 @@ def is_associative_matrix(cube: StructureCube, witness_cap=DEFAULT_WITNESS_CAP) 
     product column of (i, j).  Equivalent to the brute-force route, but
     through an entirely different computation.
     """
+    found = _Collector(witness_cap)
+    for indices, expected, actual in _matrix_violations(cube):
+        found.add(indices, expected, actual)
+    return found.report("associative-matrix")
+
+
+def _matrix_violations(cube: StructureCube):
+    """The violations of the matrix route, lazily and in scan order: the
+    1-based pair (i, j) and both sides of its first differing entry.  A
+    caller that needs only the first stops the scan there."""
     n, planes = cube.n, cube.planes
     scale = cube.denominator**2
     actions = [
         [[planes[i][c][r] for c in range(n)] for r in range(n)] for i in range(n)
     ]
-    found = _Collector(witness_cap)
     for i in range(n):
         act_i = actions[i]
         for j in range(n):
@@ -172,12 +181,11 @@ def is_associative_matrix(cube: StructureCube, witness_cap=DEFAULT_WITNESS_CAP) 
                 r, c = next(
                     (r, c) for r in range(n) for c in range(n) if product[r][c] != combo[r][c]
                 )
-                found.add(
+                yield (
                     (i + 1, j + 1),
                     f"entry ({r + 1}, {c + 1}) = {rat(product[r][c], scale)}",
                     f"entry ({r + 1}, {c + 1}) = {rat(combo[r][c], scale)}",
                 )
-    return found.report("associative-matrix")
 
 
 @dataclass(frozen=True)

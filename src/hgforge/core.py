@@ -43,9 +43,10 @@ def rat(value, denominator=None):
     """Build an exact rational from an int, string, Fraction, or pair.
 
     Strings may be fractions ("3/4") or decimals ("0.75", "1e-3"); both
-    convert exactly.  A Fraction is returned as it is.  Floats are
-    rejected outright: a float has already been rounded to binary, so
-    accepting one would silently break the exactness guarantee.
+    convert exactly.  A Fraction is returned as it is.  Floats and bools
+    are rejected outright: a float has already been rounded to binary, so
+    accepting one would silently break the exactness guarantee, and a
+    bool is not a number.
 
     >>> rat("0.75") == rat(3, 4)
     True
@@ -54,6 +55,8 @@ def rat(value, denominator=None):
         return Fraction(value, denominator)
     if type(value) is Fraction:
         return value
+    if isinstance(value, bool):
+        raise TypeError("booleans are not numbers; pass an int, a Fraction, or a string")
     if isinstance(value, float):
         raise TypeError(
             "floating-point values are not exact; pass an int, a Fraction, "
@@ -268,7 +271,7 @@ def validate_cube(raw) -> StructureCube:
 
     Raises ValidationError carrying every violation found, so an invalid
     input is reported in full rather than one problem at a time; TypeError
-    for a float entry; OperandBoundError from scale_to_integers.
+    for a float or bool entry; OperandBoundError from scale_to_integers.
     """
     if isinstance(raw, StructureCube):
         return raw

@@ -8,7 +8,8 @@ Three document kinds, all plain JSON:
 
 Scalars are JSON integers or strings: "3/4" (lowest terms on output) or
 a decimal like "0.75", both parsed exactly; a JSON integer in a cube is
-kept as the int itself.  A decimal's exponent may not exceed
+kept as the int itself, and each distinct string of a cube document is
+parsed once, at its first location.  A decimal's exponent may not exceed
 MAX_DECIMAL_EXPONENT in magnitude, so a short string such as "1e-3000000"
 cannot stall parsing; its digits are already bounded by CPython's limit
 on the digits of an integer string.  The entries of a cube, and the
@@ -109,10 +110,13 @@ def parse_cube_document(doc) -> StructureCube:
     n = _require_n(doc, "cube")
     if n > DEFAULT_ORDER_CAP:
         raise FormatError(f"n: cube order {n} exceeds the cap {DEFAULT_ORDER_CAP}")
+    parsed = {}  # each distinct scalar string is parsed once, at its first location
     raw = [
         [
             [
-                x if type(x) is int else parse_scalar(x, f"entries[{i}][{j}][{k}]")
+                x if type(x) is int
+                else parsed[x] if type(x) is str and x in parsed
+                else parsed.setdefault(x, parse_scalar(x, f"entries[{i}][{j}][{k}]"))
                 for k, x in enumerate(_require_list(column, n, f"entries[{i}][{j}]"))
             ]
             for j, column in enumerate(_require_list(plane, n, f"entries[{i}]"))

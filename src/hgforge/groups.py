@@ -202,12 +202,6 @@ class CayleyTable:
         if report.detail != "identity at state 1":
             raise InvalidTable(f"{report.detail}, expected state 1")
 
-    def product(self, i, j) -> int:
-        return self.rows[i - 1][j - 1]
-
-    def inverse(self, i) -> int:
-        return self.rows[i - 1].index(1) + 1
-
     def element_order(self, i) -> int:
         power, order = i, 1
         while power != 1:

@@ -42,7 +42,7 @@ from .core import (
 )
 from .checks import (
     Witness,
-    is_associative_matrix,
+    _matrix_violations,
     is_commutative,
     satisfies_condition_A,
 )
@@ -188,16 +188,16 @@ def _certify_first(cube: StructureCube) -> RecoveryResult | None:
 def _gate_sequence(cube: StructureCube) -> RecoveryResult:
     """Every gate in order on a valid cube, stopping at the first failure.
 
-    A rejection reports only the first witness of its check, so the
-    checks keep one.
+    A rejection reports only the first witness of its check: the checks
+    keep one, and the associativity gate stops at its first violation.
     """
     commutative = is_commutative(cube, 1)
     if not commutative.holds:
         return _rejection(NOT_COMMUTATIVE, commutative.witnesses[0])
 
-    associative = is_associative_matrix(cube, 1)
-    if not associative.holds:
-        return _rejection(NOT_ASSOCIATIVE, associative.witnesses[0])
+    violation = next(_matrix_violations(cube), None)
+    if violation is not None:
+        return _rejection(NOT_ASSOCIATIVE, Witness(*violation))
 
     condition = satisfies_condition_A(cube)
     if not condition.holds:

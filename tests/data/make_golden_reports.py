@@ -4,14 +4,16 @@
 
 Builds about a dozen small cubes (n <= 5) from first principles with
 stdlib Fractions, plus a cube whose entries mix JSON ints, "p/q" and
-decimal strings and a set of documents the loader refuses (floats,
-booleans, wide exponents, operands past the digit bound, wrong JSON
-types, an order past the cap).  It runs validate, check and recover on
-each through hgforge.cli.main in-process, from inside a temporary
-directory so that an error message names the file as "cube.json", and
-writes every input document with the stdout, stderr and exit code of
-each command to golden_reports.json next to this file.  Rerun it only to re-record after an intended change
-of output; the test then pins the new bytes.
+decimal strings, a cube that writes one value as two strings, and a set
+of documents the loader refuses (floats, booleans, wide exponents,
+operands past the digit bound, wrong JSON types, an order past the cap,
+one unparseable string at two places).  It runs validate, check and
+recover on each through hgforge.cli.main in-process, from inside a
+temporary directory so that an error message names the file as
+"cube.json", and writes every input document with the stdout, stderr and
+exit code of each command to golden_reports.json next to this file.
+Rerun it only to re-record after an intended change of output; the test
+then pins the new bytes.
 """
 
 import contextlib
@@ -134,6 +136,11 @@ def refused_documents():
     found["load-entry-null"] = {"n": 2, "entries": [[[1, 0], [0, 1]], [[0, None], [1, 0]]]}
     found["load-entry-object"] = {"n": 1, "entries": [[[{"p": 1, "q": 1}]]]}
     found["load-order-past-the-cap"] = {"n": 257, "entries": []}
+    # the same unparseable string twice: the error names its first location
+    found["load-repeated-unparseable-string"] = {
+        "n": 2,
+        "entries": [[["1/2", "1/2"], ["1/0", 1]], [[0, 1], ["1/0", 0]]],
+    }
     return found
 
 
@@ -153,6 +160,20 @@ def mixed_document():
     return {"n": 3, "entries": entries}
 
 
+def two_spellings_document():
+    """Z_3 derived from (1/2, 1/3, 1/6), its 1/2 written as "1/2" and as
+    "2/4" in turn: equal values under different strings stay equal."""
+    entries = cyclic(["1/2", "1/3", "1/6"])
+    count = 0
+    for plane in entries:
+        for column in plane:
+            for k, x in enumerate(column):
+                if x == "1/2":
+                    column[k] = ("1/2", "2/4")[count % 2]
+                    count += 1
+    return {"n": 3, "entries": entries}
+
+
 def run(main, path, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -166,6 +187,7 @@ def record():
 
     documents = {name: document(entries) for name, entries in cubes().items()}
     documents["z3-mixed-scalar-forms"] = mixed_document()
+    documents["z3-half-written-two-ways"] = two_spellings_document()
     documents.update(refused_documents())
     cases = []
     home = os.getcwd()

@@ -84,7 +84,7 @@ class TestAssociative:
                 cube = validate_cube(
                     [
                         [
-                            [1 if table.product(i, j) == k else 0 for k in range(1, n + 1)]
+                            [1 if table.rows[i - 1][j - 1] == k else 0 for k in range(1, n + 1)]
                             for j in range(1, n + 1)
                         ]
                         for i in range(1, n + 1)

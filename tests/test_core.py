@@ -61,6 +61,11 @@ class TestRat:
         with pytest.raises(TypeError):
             rat(0.75)
 
+    def test_bool_rejected(self):
+        for value in (True, False):
+            with pytest.raises(TypeError, match="booleans are not numbers"):
+                rat(value)
+
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             rat("1/0")
@@ -123,6 +128,13 @@ class TestValidateCube:
         with pytest.raises(TypeError):
             validate_cube([[[0.75, 0.25], [0, 1]], [[0, 1], [1, 0]]])
 
+    def test_bool_entry_rejected(self):
+        # True == 1, so these would be a valid cube if taken as ints
+        with pytest.raises(TypeError):
+            validate_cube([[[True]]])
+        with pytest.raises(TypeError):
+            validate_cube([[[1, 0], [0, 1]], [[0, True], [1, 0]]])
+
     def test_idempotent_on_cube(self, z2_cube):
         assert validate_cube(z2_cube) is z2_cube
 
@@ -131,6 +143,12 @@ class TestValidateMeasure:
     def test_valid(self):
         m = validate_measure(["3/4", "1/4"])
         assert m.n == 2 and m.values[0] == rat(3, 4)
+
+    def test_bool_value_rejected(self):
+        with pytest.raises(TypeError):
+            validate_measure([True])
+        with pytest.raises(TypeError):
+            validate_measure([False, 1])
 
     def test_sum_violation(self):
         with pytest.raises(ValidationError) as exc:

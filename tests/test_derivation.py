@@ -90,6 +90,10 @@ class TestDeriveCube:
         table = cayley_table(InvariantFactors((3,)))
         assert derive_cube(table, validate_measure(["1/2", "1/4", "1/4"])) == z3_cube
 
+    def test_bool_measure_rejected(self, z2_table):
+        with pytest.raises(TypeError):
+            derive_cube(z2_table, [True, False])
+
     def test_point_mass_gives_indicator_cube(self):
         for n in (1, 2, 4, 6):
             for factors in enumerate_abelian_groups(n):
@@ -98,7 +102,7 @@ class TestDeriveCube:
                 for i in range(1, n + 1):
                     for j in range(1, n + 1):
                         for k in range(1, n + 1):
-                            expected = 1 if table.product(i, j) == k else 0
+                            expected = 1 if table.rows[i - 1][j - 1] == k else 0
                             assert cube.column(i, j)[k - 1] == expected
 
     def test_against_independent_oracle(self):
@@ -197,8 +201,9 @@ class TestDegeneracy:
         assert verdict.kind == "repeated-translates"
         h = verdict.repeated_state
         assert h != 1
+        h_inverse = table.rows[h - 1].index(1) + 1
         translated = tuple(
-            measure.values[table.product(k, table.inverse(h)) - 1] for k in range(1, 5)
+            measure.values[table.rows[k - 1][h_inverse - 1] - 1] for k in range(1, 5)
         )
         assert translated == measure.values
 

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import time
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgforge import InvariantFactors, ValidationError, cayley_table, rat
+from hgforge import InvariantFactors, ValidationError, cayley_table, derive_cube, rat
 from hgforge.groups import DEFAULT_ORDER_CAP
 from hgforge.formats import (
     MAX_OPERAND_DIGITS,
@@ -193,6 +194,28 @@ class TestOneLoadingPass:
         assert parsed == ["entries[0][0][0]", "entries[0][0][1]", "entries[1][1][0]", "entries[1][1][1]"]
         assert (cube.denominator, cube.planes) == (2, (((1, 1), (0, 2)), ((2, 0), (1, 1))))
 
+    def test_each_distinct_string_is_parsed_once(self, monkeypatch):
+        import hgforge.formats as formats
+
+        # a walk on Z_4 x Z_4: three 40-bit "p/q" values, each n^2 times,
+        # and JSON-int zeros
+        rng = random.Random(16)
+        weights = [rng.getrandbits(40) | 1 << 39 for _ in range(3)]
+        measure = [rat(w, sum(weights)) for w in weights] + [0] * 13
+        cube = derive_cube(cayley_table(InvariantFactors((4, 4))), measure)
+        doc = json.loads(serialize(cube_to_document(cube)))
+        strings = [x for plane in doc["entries"] for col in plane for x in col if type(x) is not int]
+        assert len(strings) == 3 * 16 * 16 and len(set(strings)) == 3
+        parsed = []
+
+        def counting(value, where):
+            parsed.append(value)
+            return parse_scalar(value, where)
+
+        monkeypatch.setattr(formats, "parse_scalar", counting)
+        assert parse_cube_document(doc) == cube
+        assert sorted(parsed) == sorted(set(strings))
+
     def test_boolean_entry_still_refused(self):
         with pytest.raises(FormatError, match=re.escape("entries[0][0][0]: expected a number, found a boolean")):
             parse_cube_document({"n": 1, "entries": [[[True]]]})
@@ -257,7 +280,8 @@ def _scalar_text(draw, q):
 def _cube_documents(draw):
     """Cube documents of order 1-3: probability columns and arbitrary ones,
     some entries widened past the operand bound, every scalar written in
-    a random one of the accepted forms."""
+    one of a pool of one or two accepted forms drawn per value, so that a
+    document repeats its strings."""
     n = draw(st.integers(1, 3))
     valid = draw(st.booleans())
     entries = []
@@ -270,7 +294,11 @@ def _cube_documents(draw):
             entries.append([Fraction(draw(st.integers(-3, 6)), draw(denominators)) for _ in range(n)])
     for value in draw(st.sampled_from(_WIDENINGS[:1] * 4 + _WIDENINGS)):
         entries[draw(st.integers(0, n * n - 1))][draw(st.integers(0, n - 1))] = value
-    columns = [[draw(_scalar_text(q)) for q in col] for col in entries]
+    texts = {}
+    for q in (q for col in entries for q in col):
+        if q not in texts:
+            texts[q] = draw(st.lists(_scalar_text(q), min_size=1, max_size=2))
+    columns = [[draw(st.sampled_from(texts[q])) for q in col] for col in entries]
     return {"n": n, "entries": [columns[i * n:(i + 1) * n] for i in range(n)]}
 
 

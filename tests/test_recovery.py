@@ -18,7 +18,7 @@ from hgforge import (
     validate_cube,
     validate_measure,
 )
-from hgforge import recovery
+from hgforge import checks, recovery
 from hgforge.recovery import _certified_result, _gate_sequence
 from oracles import (
     left_action,
@@ -237,7 +237,7 @@ class TestExtraction:
         for value in measure.values:
             result = extract_group_by_value(cube, value)
             assert result.extracted
-            assert result.table.product(1, 1) == 1
+            assert result.table.rows[0][0] == 1
 
 
 def _s3_rows():
@@ -252,14 +252,14 @@ def _coset_measure(rng, table, h):
     """Constant on the cosets of {1, h} for a state h of order 2."""
     weights = {}
     for s in range(1, table.n + 1):
-        weights[s] = weights.get(table.product(s, h)) or rng.randint(1, 50)
+        weights[s] = weights.get(table.rows[s - 1][h - 1]) or rng.randint(1, 50)
     total = sum(weights.values())
     return validate_measure([rat(weights[s], total) for s in range(1, table.n + 1)])
 
 
 def _index_two_measure(rng, table):
     """Half the mass on the squares, an index-2 subgroup: a singular mixture."""
-    squares = {table.product(s, s) for s in range(1, table.n + 1)}
+    squares = {table.rows[s - 1][s - 1] for s in range(1, table.n + 1)}
     draws = [rng.randint(1, 50) for _ in range(table.n)]
     inside = sum(d for s, d in enumerate(draws, 1) if s in squares)
     outside = sum(draws) - inside
@@ -314,10 +314,10 @@ def _agreement_cubes():
             table = cayley_table(factors)
             cubes.append(derive_cube(table, [rat(1, n)] * n))
             for h in range(2, n + 1):
-                if table.product(h, h) == 1:
+                if table.rows[h - 1][h - 1] == 1:
                     cubes.append(derive_cube(table, _coset_measure(rng, table, h)))
                     cubes.append(derive_cube(table, uniform_on_subgroup(n, {1, h})))
-            if 2 * len({table.product(s, s) for s in range(1, n + 1)}) == n:
+            if 2 * len({table.rows[s - 1][s - 1] for s in range(1, n + 1)}) == n:
                 cubes.append(derive_cube(table, _index_two_measure(rng, table)))
     z4 = cayley_table(InvariantFactors((4,)))
     cubes.append(derive_cube(z4, ["1/2", "1/4", 0, "1/4"]))
@@ -361,11 +361,30 @@ class TestCertifyFirst:
         def refuse(*args, **kwargs):
             raise AssertionError("the associativity gate ran on a derived cube")
 
-        monkeypatch.setattr(recovery, "is_associative_matrix", refuse)
+        monkeypatch.setattr(recovery, "_matrix_violations", refuse)
         for factors, table, measure, cube in _derived_nondegenerate(4403, range(1, 9)):
             result = recover(cube)
             assert result.recovered
             assert (result.table, result.measure, result.factors) == (table, measure, factors)
+
+    def test_the_assoc_gate_stops_at_its_first_violation(self, monkeypatch):
+        # the scan may not go on past the first violating pair (i, j)
+        rejected = [cube for cube in _agreement_cubes() if recover(cube).reason == "not-associative"]
+        assert any(is_associative_matrix(cube).violation_count > 1 for cube in rejected)
+        scans = []
+
+        def first_only(cube):
+            scans.append(cube)
+            for violation in checks._matrix_violations(cube):
+                yield violation
+                raise AssertionError("the associativity gate scanned past its first violation")
+
+        monkeypatch.setattr(recovery, "_matrix_violations", first_only)
+        for cube in rejected:
+            scans.clear()
+            result = _gate_sequence(cube)
+            assert scans == [cube]
+            assert result.witness == is_associative_matrix(cube, 1).witnesses[0]
 
     def test_singular_mixture_with_distinct_columns_fails_condition_a(self):
         # every product column is distinct and the pair re-derives the cube,
