@@ -11,13 +11,20 @@ common denominator D (see core.StructureCube): columns and multisets are
 compared as int tuples, which D > 0 leaves in the same order, and ranks
 are taken on int rows.  The associativity routes and the product-columns
 corollary compare sides that are bilinear in the entries, so they scale
-by D**2 on both sides.  Witnesses are turned back into the exact
-rationals they stand for, and only for a witness that is kept.
+by D**2 on both sides.  Every entry of such a side lies in [0, D**2], so
+the matrix route and product-columns pack each row or column of a side
+into one int, w = (D*D).bit_length() bits a slot, with no carry between
+slots (Kronecker substitution; see _matrix_violations); the brute-force
+route stays unpacked, as the independent check of the slot width.
+Witnesses are turned back into the exact rationals they stand for, and
+only for a witness that is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import mul
 
 from .core import StructureCube, rat, rational_rank
 
@@ -143,49 +150,51 @@ def is_associative_matrix(cube: StructureCube, witness_cap=DEFAULT_WITNESS_CAP) 
 
 def _matrix_violations(cube: StructureCube):
     """The violations of the matrix route, lazily and in scan order: the
-    1-based pair (i, j) and both sides of its first differing entry.  A
-    caller that needs only the first stops the scan there."""
+    1-based pair (i, j) and both sides of its first differing entry, row
+    by row.  A caller that needs only the first stops the scan there.
+
+    Row r of the left action L_k of state k is packed into one int
+    P[k][r], entry c in slot c (see _pack), so row r of each side is at
+    most n int multiply-adds run in C: sum_k L_i[r][k] * P[j][k] for the
+    product, sum_k c_ijk * P[k][r] for the mix.  No slot carries.
+    validate_cube and derive_cube, the only builders of a cube, make its
+    entries nonnegative with every column summing to D, so each is at
+    most D.  An entry of either side is sum_k a_k * b_k with every
+    a_k <= D and the b_k a column, so 0 <= entry <= D**2 < 2**w.  A
+    violating row is unpacked only at its first differing entry, the slot
+    of the lowest set bit of lhs ^ rhs.
+    """
     n, planes = cube.n, cube.planes
     scale = cube.denominator**2
-    actions = [
-        [[planes[i][c][r] for c in range(n)] for r in range(n)] for i in range(n)
-    ]
+    w = scale.bit_length()
+    mask = (1 << w) - 1
+    actions = [[[plane[c][r] for c in range(n)] for r in range(n)] for plane in planes]
+    packed = [[_pack(row, w) for row in action] for action in actions]
+    packed_rows = [[packed[k][r] for k in range(n)] for r in range(n)]
     for i in range(n):
-        act_i = actions[i]
+        rows_i = [(row, [x for x in row if x]) for row in actions[i]]
         for j in range(n):
-            act_j = actions[j]
-            product = [[0] * n for _ in range(n)]
-            for r in range(n):
-                row_i = act_i[r]
-                out = product[r]
-                for k in range(n):
-                    x = row_i[k]
-                    if not x:
-                        continue
-                    row_k = act_j[k]
-                    for c in range(n):
-                        if row_k[c]:
-                            out[c] = out[c] + x * row_k[c]
-            combo = [[0] * n for _ in range(n)]
-            for k, q in enumerate(planes[i][j]):
-                if not q:
-                    continue
-                act_k = actions[k]
-                for r in range(n):
-                    row = act_k[r]
-                    out = combo[r]
-                    for c in range(n):
-                        if row[c]:
-                            out[c] = out[c] + q * row[c]
-            if product != combo:
-                r, c = next(
-                    (r, c) for r in range(n) for c in range(n) if product[r][c] != combo[r][c]
-                )
-                yield (
-                    (i + 1, j + 1),
-                    f"entry ({r + 1}, {c + 1}) = {rat(product[r][c], scale)}",
-                    f"entry ({r + 1}, {c + 1}) = {rat(combo[r][c], scale)}",
-                )
+            packed_j, mix = packed[j], planes[i][j]
+            coeffs = [q for q in mix if q]
+            for r, (row, xs) in enumerate(rows_i):
+                lhs = sum(map(mul, xs, compress(packed_j, row)))
+                rhs = sum(map(mul, coeffs, compress(packed_rows[r], mix)))
+                if lhs != rhs:
+                    c = (((lhs ^ rhs) & -(lhs ^ rhs)).bit_length() - 1) // w
+                    at = f"entry ({r + 1}, {c + 1}) = "
+                    yield (i + 1, j + 1), *(f"{at}{rat(x >> c * w & mask, scale)}" for x in (lhs, rhs))
+                    break
+
+
+def _pack(values, w):
+    """Kronecker substitution: value p of the vector in bits p*w to p*w + w - 1."""
+    return sum(x << (p * w) for p, x in enumerate(values) if x)
+
+
+def _unpack(packed, n, w):
+    """The n values of a vector packed by _pack, lazily: a witness that
+    the collector does not keep is never unpacked."""
+    return (packed >> (p * w) & ((1 << w) - 1) for p in range(n))
 
 
 @dataclass(frozen=True)
@@ -276,31 +285,22 @@ def check_corollaries(cube: StructureCube, witness_cap=DEFAULT_WITNESS_CAP) -> l
                 rows_cols.add_scaled((i + 1, r + 1), base_i, row, common)
     reports.append(rows_cols.report("row-column-contents"))
 
-    # bilinear in the entries like associativity: both sides scale by D**2
+    # bilinear in the entries like associativity: both sides scale by D**2,
+    # and their columns are packed like the rows of _matrix_violations
     scale = common * common
+    w = scale.bit_length()
+    packed = [[_pack(col, w) for col in plane] for plane in planes]
+    packed_at = [[packed[i][j] for i in range(n)] for j in range(n)]
     products = _Collector(witness_cap)
     for k in range(n):
-        plane_k = planes[k]
-        diag = plane_k[k]
+        diag = planes[k][k]
+        diag_coeffs = [q for q in diag if q]
         for j in range(n):
-            lhs = [0] * n
-            for idx, q in enumerate(plane_k[j]):
-                if not q:
-                    continue
-                col = plane_k[idx]
-                for p in range(n):
-                    if col[p]:
-                        lhs[p] = lhs[p] + q * col[p]
-            rhs = [0] * n
-            for idx, q in enumerate(diag):
-                if not q:
-                    continue
-                col = planes[idx][j]
-                for p in range(n):
-                    if col[p]:
-                        rhs[p] = rhs[p] + q * col[p]
+            coeffs = [q for q in planes[k][j] if q]
+            lhs = sum(map(mul, coeffs, compress(packed[k], planes[k][j])))
+            rhs = sum(map(mul, diag_coeffs, compress(packed_at[j], diag)))
             if lhs != rhs:
-                products.add_scaled((k + 1, j + 1), lhs, rhs, scale)
+                products.add_scaled((k + 1, j + 1), _unpack(lhs, n, w), _unpack(rhs, n, w), scale)
     reports.append(products.report("product-columns"))
 
     return reports

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/data/make_golden_reports.py
 
-Builds about a dozen small cubes (n <= 5) from first principles with
+Builds about fifteen small cubes (n <= 5) from first principles with
 stdlib Fractions, plus a cube whose entries mix JSON ints, "p/q" and
 decimal strings, a cube that writes one value as two strings, and a set
 of documents the loader refuses (floats, booleans, wide exponents,
@@ -85,6 +85,20 @@ def cubes():
     shift(symmetric, 0, 1, 0, 1, F(1, 7))
     shift(symmetric, 1, 0, 0, 1, F(1, 7))
     found["z3-symmetric-perturbation"] = symmetric
+    # D = 32 = 2**5; the first differing entry of the matrix route is
+    # (3, 2) of pair (1, 1), and (3, 3) and (3, 4) of that row differ too
+    dyadic = cyclic([F(1, 8), F(1, 8), F(1, 4), F(1, 8), F(3, 8)])
+    shift(dyadic, 2, 2, 2, 4, F(1, 4))
+    shift(dyadic, 1, 3, 2, 3, F(1, 2))
+    shift(dyadic, 3, 1, 2, 3, F(1, 2))
+    found["z5-dyadic-differs-inside-row"] = dyadic
+    # D = 4; the first differing entry is (2, 2) of pair (1, 1), and its
+    # product side is 1, i.e. D**2 before unscaling
+    point = cyclic([F(1), F(0), F(0)])
+    shift(point, 2, 0, 2, 0, F(1, 2))
+    shift(point, 0, 2, 2, 0, F(1, 2))
+    shift(point, 0, 0, 0, 1, F(1, 4))
+    found["z3-dyadic-entry-equals-one"] = point
     found["invalid-negative-entry"] = [
         [[F(3, 2), F(-1, 2)], [F(1, 4), F(3, 4)]],
         [[F(1, 4), F(3, 4)], [F(-1, 3), F(4, 3)]],

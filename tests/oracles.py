@@ -210,6 +210,30 @@ def uniform_on_subgroup(n, members):
     return [share if k in members else Fraction(0) for k in range(1, n + 1)]
 
 
+def coset_measure(rng, rows, h):
+    """Random weights constant on the cosets of {1, h}, for a state h of
+    order 2 of a 1-based table: the translates of the measure repeat, so
+    the derived cube is associative but fails condition (A)."""
+    n = len(rows)
+    weights = {}
+    for s in range(1, n + 1):
+        weights[s] = weights.get(rows[s - 1][h - 1]) or rng.randint(1, 50)
+    total = sum(weights.values())
+    return [Fraction(weights[s], total) for s in range(1, n + 1)]
+
+
+def index_two_measure(rng, rows):
+    """Half the mass on the squares of a 1-based table, an index-2
+    subgroup, half off it: a singular mixture, so the derived cube is
+    associative but fails condition (A)."""
+    n = len(rows)
+    squares = {rows[s - 1][s - 1] for s in range(1, n + 1)}
+    draws = [rng.randint(1, 50) for _ in range(n)]
+    inside = sum(d for s, d in enumerate(draws, 1) if s in squares)
+    outside = sum(draws) - inside
+    return [Fraction(d, 2 * (inside if s in squares else outside)) for s, d in enumerate(draws, 1)]
+
+
 def search_nonassociative_loop(n=5):
     """Backtracking search for a Latin square with identity at state 1
     that fails associativity; the smallest exists at n = 5."""
@@ -348,6 +372,30 @@ def oracle_associativity(entries):
         "associative-matrix": (len(matrix), matrix),
         "product-columns": (len(products), products),
     }
+
+
+def oracle_first_matrix_witness(entries):
+    """The first witness of the matrix route, or None.
+
+    For the pairs (i, j) in order, the first entry (r, c), row by row,
+    where the textbook product of the left actions of i and j differs
+    from the mix of left actions weighted by the product column of
+    (i, j); the same strings as the "associative-matrix" witnesses of
+    oracle_associativity, found without the triple products.
+    """
+    n = len(entries)
+    actions = [left_action(entries, i) for i in range(1, n + 1)]
+    for i in range(n):
+        for j in range(n):
+            product = matmul(actions[i], actions[j])
+            weights = [Fraction(q) for q in entries[i][j]]
+            for r in range(n):
+                for c in range(n):
+                    mix = sum((weights[k] * actions[k][r][c] for k in range(n)), Fraction(0))
+                    if product[r][c] != mix:
+                        at = f"entry ({r + 1}, {c + 1}) = "
+                        return (i + 1, j + 1), f"{at}{product[r][c]}", f"{at}{mix}"
+    return None
 
 
 def oracle_commutativity(entries):

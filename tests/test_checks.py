@@ -17,18 +17,25 @@ from hgforge import (
     is_commutative,
     random_measure,
     rat,
+    recover,
     satisfies_condition_A,
     validate_cube,
     validate_measure,
 )
+from hgforge import checks
+from hgforge.core import MAX_OPERAND_DIGITS
+from hgforge.recovery import _gate_sequence
 from oracles import (
     cofactor_det,
+    coset_measure,
     fraction_rank,
+    index_two_measure,
     left_action,
     matmul,
     oracle_associativity,
     oracle_commutativity,
     oracle_distinct_columns,
+    oracle_first_matrix_witness,
     oracle_multiset_corollaries,
     oracle_violations,
     relabel_cube,
@@ -106,8 +113,10 @@ def _random_column(rng, n):
     return [rat(w, total) for w in weights]
 
 
-def _perturb_one_column(cube, rng):
-    """Move mass between two entries of one column; keeps the cube valid."""
+def _perturb_one_column(cube, rng, symmetric=False):
+    """Move mass between two entries of one column; keeps the cube valid.
+    With symmetric=True the mirror column moves with it, so a commutative
+    cube stays commutative."""
     n = cube.n
     entries = [[list(col) for col in plane] for plane in cube.entries]
     while True:
@@ -122,6 +131,8 @@ def _perturb_one_column(cube, rng):
         column[p] -= shift
         column[q] += shift
         if tuple(column) != cube.entries[i][j]:
+            if symmetric:
+                entries[j][i] = column
             return validate_cube(entries)
 
 
@@ -144,6 +155,31 @@ def _perturb_columns(cube, rng, primes):
         column[p] -= shift
         column[q] += shift
     return validate_cube(entries)
+
+
+def _dyadic_cube(rng, n, bits, cells):
+    """Point masses on the table of Z_n, with 2**-bits of the mass of
+    `cells` columns moved to another state.  D is 2**bits, and most
+    products stay point masses, so the two sides of the matrix route and
+    of product-columns hold entries equal to 1, that is D**2 before they
+    are unscaled: the widest value a slot of the packed rows must hold,
+    and at bits = 0 the top bit of a slot one bit wide."""
+    entries = [[[rat(int(k == (i + j) % n)) for k in range(n)] for j in range(n)] for i in range(n)]
+    for i, j in rng.sample([(i, j) for i in range(n) for j in range(n)], cells):
+        column = entries[i][j]
+        p = column.index(1)
+        q = rng.choice([k for k in range(n) if k != p])
+        column[p] -= rat(1, 2**bits)
+        column[q] += rat(1, 2**bits)
+    return validate_cube(entries)
+
+
+def _printed_values(text):
+    """The values one side of a witness prints: the entry of a matrix
+    witness, or every entry of a vector."""
+    if text.startswith("entry"):
+        return [text.rsplit("= ", 1)[1]]
+    return text.strip("()").split(", ")
 
 
 class TestCrossOracle:
@@ -186,6 +222,83 @@ class TestCrossOracle:
                 got = [(w.indices, w.expected, w.actual) for w in report.witnesses]
                 assert got == witnesses, (trial, report.name)
         assert perturbed == 20
+
+    def test_first_matrix_witness_and_gate_on_orders_up_to_8(self):
+        # the cubes the recover gate scans to the end, associative ones
+        # that fail condition (A), next to perturbed derived ones
+        rng = random.Random(8808)
+        cubes, associative_rejects = [], 0
+        for n in range(2, 9):
+            for factors in enumerate_abelian_groups(n):
+                table = cayley_table(factors)
+                rows = table.rows
+                derived = derive_cube(table, random_measure(rng, n, positive=True))
+                cubes.append(_perturb_one_column(derived, rng, symmetric=True))
+                order_two = [h for h in range(2, n + 1) if rows[h - 1][h - 1] == 1]
+                if order_two:
+                    cubes.append(derive_cube(table, coset_measure(rng, rows, rng.choice(order_two))))
+                if 2 * len({rows[s][s] for s in range(n)}) == n:
+                    cubes.append(derive_cube(table, index_two_measure(rng, rows)))
+        reasons = set()
+        for cube in cubes:
+            first = oracle_first_matrix_witness(cube.entries)
+            assert next(checks._matrix_violations(cube), None) == first
+            result = recover(cube)
+            assert result == _gate_sequence(cube)
+            reasons.add(result.reason)
+            associative_rejects += first is None and result.reason == "fails-condition-a"
+        assert max(cube.n for cube in cubes) == 8
+        assert associative_rejects >= 8
+        assert {"not-associative", "fails-condition-a"} <= reasons
+
+    def test_brute_force_route_shares_no_packing(self, z3_cube, nonassoc_cube, monkeypatch):
+        cubes = [z3_cube, nonassoc_cube, _dyadic_cube(random.Random(5), 4, 2, 2)]
+        expected = [is_associative_bruteforce(cube) for cube in cubes]
+
+        def refuse(*args):
+            raise AssertionError("packed rows used")
+
+        monkeypatch.setattr(checks, "_pack", refuse)
+        monkeypatch.setattr(checks, "_unpack", refuse)
+        with pytest.raises(AssertionError, match="packed rows used"):
+            is_associative_matrix(z3_cube)
+        assert [is_associative_bruteforce(cube) for cube in cubes] == expected
+
+
+class TestSlotWidth:
+    # the matrix route and product-columns pack D**2 into a slot of
+    # (D*D).bit_length() bits; the Fraction oracle packs nothing
+    @staticmethod
+    def _assert_packed_routes_match_oracle(cube, cap):
+        expected = oracle_associativity(cube.entries)
+        reports = [is_associative_matrix(cube, cap), check_corollaries(cube, cap)[3]]
+        for report in reports:
+            count, witnesses = expected[report.name]
+            assert report.violation_count == count, report.name
+            assert [(w.indices, w.expected, w.actual) for w in report.witnesses] == witnesses[:cap], report.name
+        return reports
+
+    @pytest.mark.parametrize("cap", [1, 10**6])
+    def test_entries_equal_to_d_squared(self, cap):
+        rng = random.Random(2718)
+        with_one = {"associative-matrix": 0, "product-columns": 0}
+        for bits in (0, 1, 2, 3, 5):
+            for _ in range(3):
+                cube = _dyadic_cube(rng, rng.randint(3, 5), bits, rng.randint(1, 3))
+                assert cube.denominator == 2**bits
+                for report in self._assert_packed_routes_match_oracle(cube, cap):
+                    for w in report.witnesses:
+                        with_one[report.name] += "1" in _printed_values(w.expected) + _printed_values(w.actual)
+        assert all(with_one.values()), with_one
+
+    @pytest.mark.parametrize("cap", [1, 10**6])
+    def test_denominator_at_the_operand_bound(self, cap):
+        rng = random.Random(7140)
+        for n in (3, 4):
+            cube = _dyadic_cube(rng, n, 7140, 2)
+            assert cube.denominator == 2**7140 and len(str(cube.denominator)) == MAX_OPERAND_DIGITS
+            reports = self._assert_packed_routes_match_oracle(cube, cap)
+            assert not any(report.holds for report in reports)
 
 
 def _oracle_cubes():

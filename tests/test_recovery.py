@@ -21,6 +21,8 @@ from hgforge import (
 from hgforge import checks, recovery
 from hgforge.recovery import _certified_result, _gate_sequence
 from oracles import (
+    coset_measure,
+    index_two_measure,
     left_action,
     oracle_derive,
     oracle_mixture,
@@ -248,26 +250,6 @@ def _s3_rows():
     return [[index[tuple(a[b[x]] for x in range(3))] for b in perms] for a in perms]
 
 
-def _coset_measure(rng, table, h):
-    """Constant on the cosets of {1, h} for a state h of order 2."""
-    weights = {}
-    for s in range(1, table.n + 1):
-        weights[s] = weights.get(table.rows[s - 1][h - 1]) or rng.randint(1, 50)
-    total = sum(weights.values())
-    return validate_measure([rat(weights[s], total) for s in range(1, table.n + 1)])
-
-
-def _index_two_measure(rng, table):
-    """Half the mass on the squares, an index-2 subgroup: a singular mixture."""
-    squares = {table.rows[s - 1][s - 1] for s in range(1, table.n + 1)}
-    draws = [rng.randint(1, 50) for _ in range(table.n)]
-    inside = sum(d for s, d in enumerate(draws, 1) if s in squares)
-    outside = sum(draws) - inside
-    return validate_measure(
-        [rat(d, 2 * (inside if s in squares else outside)) for s, d in enumerate(draws, 1)]
-    )
-
-
 def _perturbed(cube, rng, symmetric):
     """Move mass within one off-diagonal column; with symmetric=True the
     mirror column moves with it, so the cube stays commutative."""
@@ -315,10 +297,10 @@ def _agreement_cubes():
             cubes.append(derive_cube(table, [rat(1, n)] * n))
             for h in range(2, n + 1):
                 if table.rows[h - 1][h - 1] == 1:
-                    cubes.append(derive_cube(table, _coset_measure(rng, table, h)))
+                    cubes.append(derive_cube(table, coset_measure(rng, table.rows, h)))
                     cubes.append(derive_cube(table, uniform_on_subgroup(n, {1, h})))
             if 2 * len({table.rows[s - 1][s - 1] for s in range(1, n + 1)}) == n:
-                cubes.append(derive_cube(table, _index_two_measure(rng, table)))
+                cubes.append(derive_cube(table, index_two_measure(rng, table.rows)))
     z4 = cayley_table(InvariantFactors((4,)))
     cubes.append(derive_cube(z4, ["1/2", "1/4", 0, "1/4"]))
     s3 = _s3_rows()
