@@ -234,6 +234,25 @@ def index_two_measure(rng, rows):
     return [Fraction(d, 2 * (inside if s in squares else outside)) for s, d in enumerate(draws, 1)]
 
 
+def perturbed_entries(entries, rng, symmetric):
+    """The entries of a cube with mass moved within one off-diagonal
+    column, as Fractions; column sums and signs are kept.  With
+    symmetric=True the mirror column moves with it, so a commutative cube
+    stays commutative."""
+    n = len(entries)
+    work = [[[Fraction(q) for q in col] for col in plane] for plane in entries]
+    i, j = rng.sample(range(n), 2)
+    column = work[i][j]
+    p = rng.choice([k for k in range(n) if column[k] > 0])
+    q = rng.choice([k for k in range(n) if k != p])
+    shift = column[p] * Fraction(1, rng.randint(2, 9))
+    column[p] -= shift
+    column[q] += shift
+    if symmetric:
+        work[j][i] = list(column)
+    return work
+
+
 def search_nonassociative_loop(n=5):
     """Backtracking search for a Latin square with identity at state 1
     that fails associativity; the smallest exists at n = 5."""
@@ -372,30 +391,6 @@ def oracle_associativity(entries):
         "associative-matrix": (len(matrix), matrix),
         "product-columns": (len(products), products),
     }
-
-
-def oracle_first_matrix_witness(entries):
-    """The first witness of the matrix route, or None.
-
-    For the pairs (i, j) in order, the first entry (r, c), row by row,
-    where the textbook product of the left actions of i and j differs
-    from the mix of left actions weighted by the product column of
-    (i, j); the same strings as the "associative-matrix" witnesses of
-    oracle_associativity, found without the triple products.
-    """
-    n = len(entries)
-    actions = [left_action(entries, i) for i in range(1, n + 1)]
-    for i in range(n):
-        for j in range(n):
-            product = matmul(actions[i], actions[j])
-            weights = [Fraction(q) for q in entries[i][j]]
-            for r in range(n):
-                for c in range(n):
-                    mix = sum((weights[k] * actions[k][r][c] for k in range(n)), Fraction(0))
-                    if product[r][c] != mix:
-                        at = f"entry ({r + 1}, {c + 1}) = "
-                        return (i + 1, j + 1), f"{at}{product[r][c]}", f"{at}{mix}"
-    return None
 
 
 def oracle_commutativity(entries):

@@ -35,9 +35,9 @@ from oracles import (
     oracle_associativity,
     oracle_commutativity,
     oracle_distinct_columns,
-    oracle_first_matrix_witness,
     oracle_multiset_corollaries,
     oracle_violations,
+    perturbed_entries,
     relabel_cube,
     subgroup_element_sets,
     uniform_on_subgroup,
@@ -113,10 +113,8 @@ def _random_column(rng, n):
     return [rat(w, total) for w in weights]
 
 
-def _perturb_one_column(cube, rng, symmetric=False):
-    """Move mass between two entries of one column; keeps the cube valid.
-    With symmetric=True the mirror column moves with it, so a commutative
-    cube stays commutative."""
+def _perturb_one_column(cube, rng):
+    """Move mass between two entries of one column; keeps the cube valid."""
     n = cube.n
     entries = [[list(col) for col in plane] for plane in cube.entries]
     while True:
@@ -131,8 +129,6 @@ def _perturb_one_column(cube, rng, symmetric=False):
         column[p] -= shift
         column[q] += shift
         if tuple(column) != cube.entries[i][j]:
-            if symmetric:
-                entries[j][i] = column
             return validate_cube(entries)
 
 
@@ -233,7 +229,7 @@ class TestCrossOracle:
                 table = cayley_table(factors)
                 rows = table.rows
                 derived = derive_cube(table, random_measure(rng, n, positive=True))
-                cubes.append(_perturb_one_column(derived, rng, symmetric=True))
+                cubes.append(validate_cube(perturbed_entries(derived.entries, rng, symmetric=True)))
                 order_two = [h for h in range(2, n + 1) if rows[h - 1][h - 1] == 1]
                 if order_two:
                     cubes.append(derive_cube(table, coset_measure(rng, rows, rng.choice(order_two))))
@@ -241,7 +237,8 @@ class TestCrossOracle:
                     cubes.append(derive_cube(table, index_two_measure(rng, rows)))
         reasons = set()
         for cube in cubes:
-            first = oracle_first_matrix_witness(cube.entries)
+            witnesses = oracle_associativity(cube.entries)["associative-matrix"][1]
+            first = witnesses[0] if witnesses else None
             assert next(checks._matrix_violations(cube), None) == first
             result = recover(cube)
             assert result == _gate_sequence(cube)

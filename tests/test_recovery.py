@@ -26,6 +26,7 @@ from oracles import (
     left_action,
     oracle_derive,
     oracle_mixture,
+    perturbed_entries,
     search_nonassociative_loop,
     uniform_on_subgroup,
 )
@@ -250,23 +251,6 @@ def _s3_rows():
     return [[index[tuple(a[b[x]] for x in range(3))] for b in perms] for a in perms]
 
 
-def _perturbed(cube, rng, symmetric):
-    """Move mass within one off-diagonal column; with symmetric=True the
-    mirror column moves with it, so the cube stays commutative."""
-    n = cube.n
-    entries = [[list(col) for col in plane] for plane in cube.entries]
-    i, j = rng.sample(range(n), 2)
-    column = entries[i][j]
-    p = rng.choice([k for k in range(n) if column[k] > 0])
-    q = rng.choice([k for k in range(n) if k != p])
-    shift = column[p] * rat(1, rng.randint(2, 9))
-    column[p] -= shift
-    column[q] += shift
-    if symmetric:
-        entries[j][i] = list(column)
-    return validate_cube(entries)
-
-
 def _random_valid(rng, n):
     """Random columns, some of them reused, so plane 1 can match."""
     pool = []
@@ -313,8 +297,8 @@ def _agreement_cubes():
     # point masses multiplied by a non-associative loop
     cubes.append(validate_cube([[[int(s == k + 1) for k in range(5)] for s in row] for row in loop]))
     for _, _, _, cube in _derived_nondegenerate(4402, (2, 3, 4, 5, 6)):
-        cubes.append(_perturbed(cube, rng, symmetric=True))
-        cubes.append(_perturbed(cube, rng, symmetric=False))
+        cubes.append(validate_cube(perturbed_entries(cube.entries, rng, symmetric=True)))
+        cubes.append(validate_cube(perturbed_entries(cube.entries, rng, symmetric=False)))
     for factors in enumerate_abelian_groups(4) + enumerate_abelian_groups(6):
         # n distinct columns laid out by a group table, not translates of one measure
         table = cayley_table(factors)
