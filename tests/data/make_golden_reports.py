@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python tests/data/make_golden_reports.py
 
-Builds about fifteen small cubes (n <= 5) from first principles with
-stdlib Fractions, plus a cube whose entries mix JSON ints, "p/q" and
+Builds about fifteen small cubes (n <= 5) and two condition-(A)
+failures of orders 6 and 8 from first principles with stdlib Fractions,
+plus a cube whose entries mix JSON ints, "p/q" and
 decimal strings, a cube that writes one value as two strings, and a set
 of documents the loader refuses (floats, booleans, wide exponents,
 operands past the digit bound, wrong JSON types, an order past the cap,
@@ -48,6 +49,18 @@ def cyclic(values):
 def klein(values):
     """Cube derived from Z_2 x Z_2, states labelled so that the product is XOR."""
     return [[[values[k ^ i ^ j] for k in range(4)] for j in range(4)] for i in range(4)]
+
+
+def z2_z4(values):
+    """Cube derived from Z_2 x Z_4, state 4a + b standing for (a, b)."""
+
+    def product(s, t):
+        return 4 * (s // 4 ^ t // 4) + (s + t) % 4
+
+    def inverse(s):
+        return s - s % 4 + -s % 4
+
+    return [[[values[product(k, inverse(product(i, j)))] for k in range(8)] for j in range(8)] for i in range(8)]
 
 
 def shift(cube, i, j, source, target, share):
@@ -99,6 +112,12 @@ def cubes():
     shift(point, 0, 2, 2, 0, F(1, 2))
     shift(point, 0, 0, 0, 1, F(1, 4))
     found["z3-dyadic-entry-equals-one"] = point
+    # two characters of order 3 vanish on the measure: six distinct
+    # columns, every rank 4
+    found["z6-order-3-characters-vanish"] = cyclic([F(1, 6), F(1, 12), F(1, 4), F(1, 6), F(1, 4), F(1, 12)])
+    # half the mass on the index-2 subgroup {(a, b): b even} of a
+    # non-cyclic group: eight distinct columns, every rank 7
+    found["z2xz4-index-2"] = z2_z4([F(1, 4), F(1, 5), F(1, 8), F(1, 10), F(3, 32), F(3, 20), F(1, 32), F(1, 20)])
     found["invalid-negative-entry"] = [
         [[F(3, 2), F(-1, 2)], [F(1, 4), F(3, 4)]],
         [[F(1, 4), F(3, 4)], [F(-1, 3), F(4, 3)]],

@@ -22,7 +22,7 @@ LOADED = [case for case in CASES if not case["name"].startswith("load-")]
 def test_cases_cover_every_reached_reason():
     reasons = {json.loads(case["runs"][-1]["stdout"]).get("reason") for case in LOADED}
     assert reasons == {None, "fails-validation", "not-commutative", "not-associative", "fails-condition-a"}
-    assert all(case["cube"]["n"] <= 5 for case in LOADED)
+    assert all(case["cube"]["n"] <= 8 for case in LOADED)
 
 
 def test_refused_documents_exit_two_with_one_error_line():
