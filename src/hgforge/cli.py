@@ -17,6 +17,7 @@ files produces identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -382,6 +383,7 @@ def cmd_roundtrip(args):
     return EXIT_OK if failures == 0 else EXIT_FAILS
 
 
+@functools.cache  # built once, on the first main call
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hgforge",

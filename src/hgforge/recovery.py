@@ -1,22 +1,23 @@
 """Recovering the unique (group, measure) pair behind a derivable cube.
 
-A valid cube first tries a success path that costs O(n^3): match every
+A valid cube first tries a certificate that costs O(n^3): match every
 product column against the columns of state 1's left action (which must
 be n distinct columns), build the Cayley table that matching names
 (CayleyTable checks the group axioms, commutativity included), take the
 product column of (1, 1) as the measure, re-derive the cube from that
-pair and compare it with the input entry for entry, and finally check
-that the plane of state 1 has full rank.  A cube that passes is derived
-from an abelian group, so it is commutative and associative; plane 1
-read as rows is the transpose of the mixture matrix M, and every left
-and right action of a derived cube is G_i M, so that one rank settles
-condition (A) and with it the distinctness of all product columns.
+pair and compare it with the input entry for entry.  A cube that passes
+is derived from an abelian group, so it is commutative and associative,
+and each of its columns is one of plane 1's.  Plane 1 read as rows is
+the transpose of the mixture matrix M, and every left and right action
+of a derived cube is G_i M, so the rank of plane 1 settles condition
+(A): a certified cube is recovered at full rank, and rejected as
+fails-condition-a below it.
 
-Only when that path fails do the gates run, in their fixed order, to
-name the rejection: validation, commutativity, associativity (matrix
-route), the distinct-columns-and-full-rank test, column matching against
-the plane of state 1, the group axioms, and finally certification.  The
-success path never names a rejection, so every reason, witness and
+Only a cube with no certificate runs the gates, in their fixed order:
+validation, commutativity, associativity (matrix route), the
+distinct-columns-and-full-rank test, column matching against the plane
+of state 1, the group axioms, and finally certification.  A certified
+cube passes the gates up to condition (A), so every reason, witness and
 detail is the one the gates alone would give.  Both end in the same
 read-off step: column matching, group axioms, certification.  All steps
 decide on the cube's integer planes (see core.StructureCube).
@@ -41,6 +42,7 @@ from .core import (
     validate_measure,
 )
 from .checks import (
+    ConditionAReport,
     Witness,
     _matrix_violations,
     is_commutative,
@@ -169,20 +171,27 @@ def _read_off(cube: StructureCube) -> RecoveryResult:
     return _certified_result(cube, table, validate_measure(cube.column(1, 1)))
 
 
-def _certify_first(cube: StructureCube) -> RecoveryResult | None:
-    """The O(n^3) success path: a certified result, or None to run the gates.
-
-    Never names a rejection; any step that fails hands the cube to the
-    gates.  The closing rank check makes condition (A) hold: plane 1 read
-    as rows is the transpose of the mixture matrix, and every action
-    matrix of the re-derived cube is a permutation times that matrix.
-    """
+def _certificate(cube: StructureCube) -> tuple[RecoveryResult, ConditionAReport] | None:
+    """The O(n^3) certificate, or None to run the gates: the certified
+    result and the condition (A) report that re-derivation implies, with
+    n distinct columns and every rank that of plane 1 (module docstring)."""
     if len(set(cube.planes[0])) != cube.n:
         return None
     result = _read_off(cube)
-    if not result.recovered or rational_rank(cube.planes[0]) != cube.n:
+    if not result.recovered:
         return None
-    return result
+    ranks = (rational_rank(cube.planes[0]),) * cube.n
+    return result, ConditionAReport(cube.n, cube.n, ranks, ranks)
+
+
+def _condition_a_rejection(condition: ConditionAReport) -> RecoveryResult:
+    return _rejection(
+        FAILS_CONDITION_A,
+        detail=(
+            f"{condition.distinct_column_count} distinct columns of {condition.n}; "
+            f"left ranks {list(condition.left_ranks)}, right ranks {list(condition.right_ranks)}"
+        ),
+    )
 
 
 def _gate_sequence(cube: StructureCube) -> RecoveryResult:
@@ -201,13 +210,7 @@ def _gate_sequence(cube: StructureCube) -> RecoveryResult:
 
     condition = satisfies_condition_A(cube)
     if not condition.holds:
-        return _rejection(
-            FAILS_CONDITION_A,
-            detail=(
-                f"{condition.distinct_column_count} distinct columns of {cube.n}; "
-                f"left ranks {list(condition.left_ranks)}, right ranks {list(condition.right_ranks)}"
-            ),
-        )
+        return _condition_a_rejection(condition)
 
     # the left action of state 1 has full rank, so its columns are distinct
     return _read_off(cube)
@@ -216,10 +219,11 @@ def _gate_sequence(cube: StructureCube) -> RecoveryResult:
 def recover(cube) -> RecoveryResult:
     """Decide whether the cube is derived and, if so, from what.
 
-    A valid cube first tries the O(n^3) certify-first path (see the
-    module docstring); a derived cube is settled there without running
-    any O(n^5) associativity scan.  Otherwise the gates run in this
-    order, and the first that fails names the rejection:
+    A valid cube first tries the O(n^3) certificate (see the module
+    docstring): a certified cube is settled there without running any
+    O(n^5) associativity scan, as recovered or, when plane 1 has
+    deficient rank, as fails-condition-a.  Any other cube runs the
+    gates in this order, and the first that fails names the rejection:
       validation        fails-validation
       commutativity     not-commutative
       associativity     not-associative (matrix route)
@@ -235,10 +239,11 @@ def recover(cube) -> RecoveryResult:
         cube = validate_cube(cube)
     except ValidationError as err:
         return validation_rejection(err)
-    certified = _certify_first(cube)
-    if certified is not None:
-        return certified
-    return _gate_sequence(cube)
+    certificate = _certificate(cube)
+    if certificate is None:
+        return _gate_sequence(cube)
+    result, condition = certificate
+    return result if condition.holds else _condition_a_rejection(condition)
 
 
 def extract_group_by_value(cube, value) -> ExtractionResult:

@@ -1,3 +1,5 @@
+import argparse
+import gc
 import json
 import random
 import subprocess
@@ -376,6 +378,68 @@ class TestArgumentErrors:
 
     def test_missing_argument(self, capsys):
         assert run_cli("validate") == 2
+
+
+# runs each command of a JSON list through one process's main, in order
+_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from hgforge.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        runs.append([main(argv), out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+class TestParserReuse:
+    def test_outputs_equal_each_command_run_first(self, tmp_path, nonassoc_cube, child_env):
+        path = tmp_path / "na.json"
+        write_document(path, cube_to_document(nonassoc_cube))
+        commands = [
+            ["check", str(path), "--witness-cap", "1", "--property", "associative"],
+            ["check", str(path), "--property", "associative", "--witness-cap", "x"],
+            ["check", str(path)],
+        ]
+
+        def run(sequence):
+            child = subprocess.run(
+                [sys.executable, "-c", _IN_ONE_PROCESS, json.dumps(sequence)],
+                capture_output=True,
+                env=child_env("0"),
+                check=True,
+            )
+            return json.loads(child.stdout)
+
+        in_sequence = run(commands)
+        assert [code for code, _, _ in in_sequence] == [1, 2, 1]
+        assert in_sequence == [run([argv])[0] for argv in commands]
+
+    def test_out_is_not_kept_for_the_next_call(self, z2_files, tmp_path, capsys):
+        group_out, measure_out = tmp_path / "g.json", tmp_path / "m.json"
+        assert run_cli("recover", z2_files["cube"], "--out", group_out, "--out-measure", measure_out) == 0
+        group_out.unlink()
+        measure_out.unlink()
+        before = sorted(tmp_path.iterdir())
+        assert run_cli("recover", z2_files["cube"]) == 0
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_repeated_calls_leave_no_parser_garbage(self, z2_files, capsys):
+        assert run_cli("check", z2_files["cube"]) == 0
+        gc.collect()
+        gc.garbage.clear()
+        flags = gc.get_debug()
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        try:
+            for argv in (("check", z2_files["cube"]), ("recover", z2_files["cube"]), ("validate",)) * 3:
+                run_cli(*argv)
+            gc.collect()
+            parsers = [obj for obj in gc.garbage if isinstance(obj, argparse.ArgumentParser)]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert parsers == []
 
 
 class TestByteDeterminism:

@@ -271,8 +271,22 @@ def _derived_nondegenerate(seed, orders):
                 yield factors, table, measure, derive_cube(table, measure)
 
 
+# two characters of order 3 vanish on this Z6 measure: six distinct
+# columns, every rank 4
+Z6_RANK_FOUR = ["1/6", "1/12", "1/4", "1/6", "1/4", "1/12"]
+
+
+def _index_two_cubes(rng, n):
+    """Derived cubes of order n with half the mass on the squares, for each
+    group of order n whose squares have index 2."""
+    for factors in enumerate_abelian_groups(n):
+        table = cayley_table(factors)
+        if 2 * len({table.rows[s - 1][s - 1] for s in range(1, n + 1)}) == n:
+            yield derive_cube(table, index_two_measure(rng, table.rows))
+
+
 def _agreement_cubes():
-    """Cubes of every family the success path must either settle or pass on."""
+    """Cubes of every family the certificate must either settle or pass on."""
     rng = random.Random(4404)
     cubes = [cube for _, _, _, cube in _derived_nondegenerate(4401, range(1, 9))]
     for n in (2, 4, 6, 8):
@@ -306,10 +320,28 @@ def _agreement_cubes():
         cubes.append(validate_cube([[columns[s - 1] for s in row] for row in table.rows]))
     for _ in range(40):
         cubes.append(_random_valid(rng, rng.randint(1, 5)))
+    cubes.append(derive_cube(cayley_table(InvariantFactors((6,))), Z6_RANK_FOUR))
+    for _ in range(2):
+        cubes.extend(_index_two_cubes(rng, 10))
+    return cubes
+
+
+def _deficient_derived_cubes():
+    """Derived cubes with n distinct columns and a singular mixture matrix:
+    the certificate settles each one as fails-condition-a."""
+    rng = random.Random(4405)
+    cubes = [
+        derive_cube(cayley_table(InvariantFactors((4,))), ["1/2", "1/4", 0, "1/4"]),
+        derive_cube(cayley_table(InvariantFactors((6,))), Z6_RANK_FOUR),
+    ]
+    for n in (4, 6, 8, 10):
+        cubes.extend(_index_two_cubes(rng, n))
     return cubes
 
 
 class TestCertifyFirst:
+    """recovery._certificate and the gates it stands in for."""
+
     @pytest.mark.parametrize("cap", [1, 16])
     def test_recover_equals_the_gate_sequence(self, cap):
         # a rejection names the first witness of its check, whatever the cap
@@ -352,9 +384,32 @@ class TestCertifyFirst:
             assert scans == [cube]
             assert result.witness == is_associative_matrix(cube, 1).witnesses[0]
 
+    def test_certified_deficient_cubes_reach_no_gate(self, monkeypatch):
+        # re-derivation settles commutativity, associativity and condition (A)
+        cubes = _deficient_derived_cubes()
+        assert {cube.n for cube in cubes} == {4, 6, 8, 10}
+        expected = [_gate_sequence(cube) for cube in cubes]
+        assert {result.reason for result in expected} == {"fails-condition-a"}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a gate ran on a certified cube")
+
+        for name in ("_matrix_violations", "satisfies_condition_A", "is_commutative"):
+            monkeypatch.setattr(recovery, name, refuse)
+        assert [recover(cube) for cube in cubes] == expected
+
+    def test_certificate_report_equals_condition_a(self):
+        reports = []
+        for cube in _agreement_cubes():
+            certificate = recovery._certificate(cube)
+            if certificate is not None:
+                assert certificate[1] == checks.satisfies_condition_A(cube)
+                reports.append(certificate[1])
+        assert {report.holds for report in reports} == {True, False}
+
     def test_singular_mixture_with_distinct_columns_fails_condition_a(self):
         # every product column is distinct and the pair re-derives the cube,
-        # so only the closing rank check keeps it off the success path
+        # so the certificate's rank of 3 names the rejection
         z4 = cayley_table(InvariantFactors((4,)))
         cube = derive_cube(z4, ["1/2", "1/4", 0, "1/4"])
         assert len({col for plane in cube.entries for col in plane}) == 4
