@@ -225,12 +225,17 @@ def satisfies_condition_A(cube: StructureCube) -> ConditionAReport:
     The ranks are taken straight off the cube: plane i, read as rows, is
     the transpose of the left action of state i, and the columns (j, i)
     over j, read as rows, the transpose of its right action.  A transpose
-    has the same rank.
+    has the same rank.  Where those rows are plane i itself (column (j, i)
+    equals column (i, j) for every j, as on any commutative cube), the
+    right rank is the left rank and is not computed again.
     """
     n, planes = cube.n, cube.planes
     distinct = len({col for plane in planes for col in plane})
-    left_ranks = tuple(rational_rank(planes[i]) for i in range(n))
-    right_ranks = tuple(rational_rank([planes[j][i] for j in range(n)]) for i in range(n))
+    left_ranks = tuple(rational_rank(plane) for plane in planes)
+    right_ranks = tuple(
+        rank if rows == plane else rational_rank(rows)
+        for plane, rank, rows in zip(planes, left_ranks, zip(*planes))
+    )
     return ConditionAReport(n, distinct, left_ranks, right_ranks)
 
 

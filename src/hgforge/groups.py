@@ -85,20 +85,26 @@ def _factorize(n):
     return factors
 
 
-def enumerate_abelian_groups(n, cap=DEFAULT_ORDER_CAP) -> list[InvariantFactors]:
+def enumerate_abelian_groups(n) -> list[InvariantFactors]:
     """Every abelian group of order n, once per isomorphism class.
 
     One entry per choice of an integer partition of each prime exponent;
     results are sorted in descending lexicographic order of the factor
-    list, so the cyclic group comes first.
+    list, so the cyclic group comes first.  Orders above
+    DEFAULT_ORDER_CAP are refused.
 
     >>> [g.factors for g in enumerate_abelian_groups(8)]
     [(8,), (2, 4), (2, 2, 2)]
     """
     if n < 1:
         raise ValueError(f"group order must be positive, got {n}")
-    if n > cap:
-        raise ValueError(f"group order {n} exceeds the enumeration cap {cap}")
+    if n > DEFAULT_ORDER_CAP:
+        raise ValueError(f"group order {n} exceeds the enumeration cap {DEFAULT_ORDER_CAP}")
+    return _abelian_groups(n)
+
+
+def _abelian_groups(n) -> list[InvariantFactors]:
+    """enumerate_abelian_groups for any positive n, with no cap."""
     primes = sorted(_factorize(n).items())
     per_prime = [[(p, part) for part in _partitions(e)] for p, e in primes]
     groups = []
@@ -239,5 +245,5 @@ def canonical_form(table: CayleyTable) -> InvariantFactors:
     same order identifies the table's class exactly.
     """
     observed = sorted(table.element_order(i) for i in range(1, table.n + 1))
-    candidates = enumerate_abelian_groups(table.n, cap=max(table.n, DEFAULT_ORDER_CAP))
+    candidates = _abelian_groups(table.n)
     return next(c for c in candidates if c.element_orders() == observed)

@@ -1,26 +1,23 @@
 """Recovering the unique (group, measure) pair behind a derivable cube.
 
-A valid cube first tries a certificate that costs O(n^3): match every
-product column against the columns of state 1's left action (which must
-be n distinct columns), build the Cayley table that matching names
-(CayleyTable checks the group axioms, commutativity included), take the
-product column of (1, 1) as the measure, re-derive the cube from that
-pair and compare it with the input entry for entry.  A cube that passes
-is derived from an abelian group, so it is commutative and associative,
-and each of its columns is one of plane 1's.  Plane 1 read as rows is
-the transpose of the mixture matrix M, and every left and right action
-of a derived cube is G_i M, so the rank of plane 1 settles condition
-(A): a certified cube is recovered at full rank, and rejected as
-fails-condition-a below it.
+recover runs one fixed sequence of gates on a valid cube.  It reads a
+candidate pair off first, in O(n^3): match every product column against
+the columns of state 1's left action (which must be n distinct
+columns), build the Cayley table that matching names (CayleyTable
+checks the group axioms, commutativity included), take the product
+column of (1, 1) as the measure, re-derive the cube from that pair and
+compare it with the input entry for entry.
 
-Only a cube with no certificate runs the gates, in their fixed order:
-validation, commutativity, associativity (matrix route), the
-distinct-columns-and-full-rank test, column matching against the plane
-of state 1, the group axioms, and finally certification.  A certified
-cube passes the gates up to condition (A), so every reason, witness and
-detail is the one the gates alone would give.  Both end in the same
-read-off step: column matching, group axioms, certification.  All steps
-decide on the cube's integer planes (see core.StructureCube).
+A cube the read-off certifies is derived from an abelian group, so it is
+commutative and associative, and each of its columns is one of plane
+1's.  Plane 1 read as rows is the transpose of the mixture matrix M, and
+every left and right action of a derived cube is G_i M, so the rank of
+plane 1 settles condition (A) without running the O(n^5) associativity
+scan.  Any other cube runs the commutativity, associativity (matrix
+route) and condition (A) gates; a cube that passes them all has n
+distinct columns in plane 1, and its answer is the read-off's.  Every
+reason, witness and detail is the one the gates alone would give.  All
+steps decide on the cube's integer planes (see core.StructureCube).
 
 A successful result is never taken on faith: the candidate pair is fed
 back through the forward construction and the rebuilt cube must equal
@@ -171,79 +168,51 @@ def _read_off(cube: StructureCube) -> RecoveryResult:
     return _certified_result(cube, table, validate_measure(cube.column(1, 1)))
 
 
-def _certificate(cube: StructureCube) -> tuple[RecoveryResult, ConditionAReport] | None:
-    """The O(n^3) certificate, or None to run the gates: the certified
-    result and the condition (A) report that re-derivation implies, with
-    n distinct columns and every rank that of plane 1 (module docstring)."""
-    if len(set(cube.planes[0])) != cube.n:
-        return None
-    result = _read_off(cube)
-    if not result.recovered:
-        return None
-    ranks = (rational_rank(cube.planes[0]),) * cube.n
-    return result, ConditionAReport(cube.n, cube.n, ranks, ranks)
-
-
-def _condition_a_rejection(condition: ConditionAReport) -> RecoveryResult:
-    return _rejection(
-        FAILS_CONDITION_A,
-        detail=(
-            f"{condition.distinct_column_count} distinct columns of {condition.n}; "
-            f"left ranks {list(condition.left_ranks)}, right ranks {list(condition.right_ranks)}"
-        ),
-    )
-
-
-def _gate_sequence(cube: StructureCube) -> RecoveryResult:
-    """Every gate in order on a valid cube, stopping at the first failure.
-
-    A rejection reports only the first witness of its check: the checks
-    keep one, and the associativity gate stops at its first violation.
-    """
-    commutative = is_commutative(cube, 1)
-    if not commutative.holds:
-        return _rejection(NOT_COMMUTATIVE, commutative.witnesses[0])
-
-    violation = next(_matrix_violations(cube), None)
-    if violation is not None:
-        return _rejection(NOT_ASSOCIATIVE, Witness(*violation))
-
-    condition = satisfies_condition_A(cube)
-    if not condition.holds:
-        return _condition_a_rejection(condition)
-
-    # the left action of state 1 has full rank, so its columns are distinct
-    return _read_off(cube)
-
-
 def recover(cube) -> RecoveryResult:
     """Decide whether the cube is derived and, if so, from what.
 
-    A valid cube first tries the O(n^3) certificate (see the module
-    docstring): a certified cube is settled there without running any
-    O(n^5) associativity scan, as recovered or, when plane 1 has
-    deficient rank, as fails-condition-a.  Any other cube runs the
-    gates in this order, and the first that fails names the rejection:
+    One sequence of gates; the first that fails names the rejection:
       validation        fails-validation
-      commutativity     not-commutative
-      associativity     not-associative (matrix route)
-      distinct columns  fails-condition-a
-      and full ranks
-      column matching   column-match-failure
+      read-off          none yet: column matching, group axioms and
+                        certification, O(n^3), run once and only when
+                        plane 1 has n distinct columns
+      commutativity     not-commutative       (met by a certified cube)
+      associativity     not-associative       (met by a certified cube)
+      condition (A)     fails-condition-a     (a certified cube: the rank
+                                              of plane 1, no scan)
+      column matching   column-match-failure  (the read-off's result)
       group axioms      group-axiom-failure
       certification     round-trip-mismatch
-    The result, reason, witness and detail included, is the one the gates
-    alone would return.
+    A rejection reports only the first witness of its check: the checks
+    keep one, and the associativity gate stops at its first violation.
     """
     try:
         cube = validate_cube(cube)
     except ValidationError as err:
         return validation_rejection(err)
-    certificate = _certificate(cube)
-    if certificate is None:
-        return _gate_sequence(cube)
-    result, condition = certificate
-    return result if condition.holds else _condition_a_rejection(condition)
+    n, planes = cube.n, cube.planes
+    result = _read_off(cube) if len(set(planes[0])) == n else None
+    if result is not None and result.recovered:
+        ranks = (rational_rank(planes[0]),) * n
+        condition = ConditionAReport(n, n, ranks, ranks)
+    else:
+        commutative = is_commutative(cube, 1)
+        if not commutative.holds:
+            return _rejection(NOT_COMMUTATIVE, commutative.witnesses[0])
+        violation = next(_matrix_violations(cube), None)
+        if violation is not None:
+            return _rejection(NOT_ASSOCIATIVE, Witness(*violation))
+        condition = satisfies_condition_A(cube)
+    if not condition.holds:
+        return _rejection(
+            FAILS_CONDITION_A,
+            detail=(
+                f"{condition.distinct_column_count} distinct columns of {n}; "
+                f"left ranks {list(condition.left_ranks)}, right ranks {list(condition.right_ranks)}"
+            ),
+        )
+    # plane 1 has full rank, so its columns are distinct and the read-off ran
+    return result
 
 
 def extract_group_by_value(cube, value) -> ExtractionResult:

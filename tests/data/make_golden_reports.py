@@ -118,6 +118,11 @@ def cubes():
     # half the mass on the index-2 subgroup {(a, b): b even} of a
     # non-cyclic group: eight distinct columns, every rank 7
     found["z2xz4-index-2"] = z2_z4([F(1, 4), F(1, 5), F(1, 8), F(1, 10), F(3, 32), F(3, 20), F(1, 32), F(1, 20)])
+    # columns (1, j) and (j, 1) agree, so plane 1 equals its right rows;
+    # (2, 3) and (3, 2) differ, so planes 2 and 3 do not, and their left
+    # ranks 2 and 3 against right ranks 3 and 2 tell the two apart
+    a, b, c, half = [F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)], [F(1, 2), F(1, 2), F(0)]
+    found["partly-commutative-ranks-differ"] = [[a, b, c], [b, c, c], [c, a, half]]
     found["invalid-negative-entry"] = [
         [[F(3, 2), F(-1, 2)], [F(1, 4), F(3, 4)]],
         [[F(1, 4), F(3, 4)], [F(-1, 3), F(4, 3)]],

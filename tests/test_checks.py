@@ -24,7 +24,7 @@ from hgforge import (
 )
 from hgforge import checks
 from hgforge.core import MAX_OPERAND_DIGITS
-from hgforge.recovery import _gate_sequence
+from test_recovery import gates_only
 from oracles import (
     cofactor_det,
     coset_measure,
@@ -241,7 +241,7 @@ class TestCrossOracle:
             first = witnesses[0] if witnesses else None
             assert next(checks._matrix_violations(cube), None) == first
             result = recover(cube)
-            assert result == _gate_sequence(cube)
+            assert result == gates_only(cube)
             reasons.add(result.reason)
             associative_rejects += first is None and result.reason == "fails-condition-a"
         assert max(cube.n for cube in cubes) == 8
@@ -460,6 +460,35 @@ class TestConditionA:
             verdicts.add(report.holds)
         assert differing >= 2
         assert verdicts == {True, False}
+
+    def test_a_right_rank_equal_to_its_left_one_is_not_recomputed(self, monkeypatch):
+        # right ranks reuse a left rank exactly where column (i, j) equals
+        # column (j, i) for every j
+        a, b, c, half = (1, 0, 0), (0, 1, 0), (0, 0, 1), ("1/2", "1/2", 0)
+        z3 = cayley_table(InvariantFactors((3,)))
+        partly = validate_cube([[a, b, c], [b, c, c], [c, a, half]])
+        counts = [
+            # commutative: n ranks
+            (derive_cube(z3, ["1/2", "1/3", "1/6"]), 3),
+            # plane 1 equals its right rows, planes 2 and 3 do not
+            (partly, 5),
+            # no plane equals its right rows: 2n ranks
+            (validate_cube([[(1, 0), (1, 0)], [(0, 1), (0, 1)]]), 4),
+            (validate_cube([[a, a, a], [b, b, b], [c, c, c]]), 6),
+        ]
+        expected = [satisfies_condition_A(cube) for cube, _ in counts]
+        calls, rank = [], checks.rational_rank
+
+        def counted(rows):
+            calls.append(rows)
+            return rank(rows)
+
+        monkeypatch.setattr(checks, "rational_rank", counted)
+        for (cube, count), report in zip(counts, expected):
+            calls.clear()
+            assert satisfies_condition_A(cube) == report
+            assert len(calls) == count
+        assert expected[1].left_ranks != expected[1].right_ranks
 
 
 class TestCorollaries:

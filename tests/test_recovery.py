@@ -4,6 +4,8 @@ import pytest
 
 from hgforge import (
     InvariantFactors,
+    RecoveryResult,
+    Witness,
     canonical_form,
     cayley_table,
     derive_cube,
@@ -15,11 +17,12 @@ from hgforge import (
     random_nondegenerate_measure,
     rat,
     recover,
+    satisfies_condition_A,
     validate_cube,
     validate_measure,
 )
-from hgforge import checks, recovery
-from hgforge.recovery import _certified_result, _gate_sequence
+from hgforge import recovery
+from hgforge.recovery import _certified_result
 from oracles import (
     coset_measure,
     index_two_measure,
@@ -34,6 +37,32 @@ from oracles import (
 
 def _point_mass(n):
     return validate_measure([1] + [0] * (n - 1))
+
+
+def gates_only(cube):
+    """recover's answer on a valid cube from its gates alone, with no
+    certificate: commutativity, associativity (matrix route), condition
+    (A), then the read-off.  The reference that recover must equal."""
+
+    def rejection(reason, witness=None, detail=None):
+        return RecoveryResult(None, None, None, reason, witness, detail)
+
+    commutative = is_commutative(cube, 1)
+    if not commutative.holds:
+        return rejection("not-commutative", commutative.witnesses[0])
+    violation = next(recovery._matrix_violations(cube), None)
+    if violation is not None:
+        return rejection("not-associative", Witness(*violation))
+    condition = satisfies_condition_A(cube)
+    if not condition.holds:
+        return rejection(
+            "fails-condition-a",
+            detail=(
+                f"{condition.distinct_column_count} distinct columns of {condition.n}; "
+                f"left ranks {list(condition.left_ranks)}, right ranks {list(condition.right_ranks)}"
+            ),
+        )
+    return recovery._read_off(cube)
 
 
 class TestRecover:
@@ -339,8 +368,28 @@ def _deficient_derived_cubes():
     return cubes
 
 
+def _refuse_gates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a gate ran on a certified cube")
+
+    for name in ("_matrix_violations", "satisfies_condition_A", "is_commutative"):
+        monkeypatch.setattr(recovery, name, refuse)
+
+
+def _counting(monkeypatch, name):
+    """Replace recovery.<name> by a wrapper that records each call's cube."""
+    calls, original = [], getattr(recovery, name)
+
+    def counted(cube, *args):
+        calls.append(cube)
+        return original(cube, *args)
+
+    monkeypatch.setattr(recovery, name, counted)
+    return calls
+
+
 class TestCertifyFirst:
-    """recovery._certificate and the gates it stands in for."""
+    """The read-off certificate inside recover, and the gates it stands in for."""
 
     @pytest.mark.parametrize("cap", [1, 16])
     def test_recover_equals_the_gate_sequence(self, cap):
@@ -349,7 +398,7 @@ class TestCertifyFirst:
         reasons = set()
         for cube in _agreement_cubes():
             result = recover(cube)
-            assert result == _gate_sequence(cube)
+            assert result == gates_only(cube)
             if result.reason in first_witness:
                 assert result.witness == first_witness[result.reason](cube, cap).witnesses[0]
             reasons.add(result.reason)
@@ -369,43 +418,80 @@ class TestCertifyFirst:
         # the scan may not go on past the first violating pair (i, j)
         rejected = [cube for cube in _agreement_cubes() if recover(cube).reason == "not-associative"]
         assert any(is_associative_matrix(cube).violation_count > 1 for cube in rejected)
+        expected = [is_associative_matrix(cube, 1).witnesses[0] for cube in rejected]
         scans = []
+        gate = recovery._matrix_violations
 
         def first_only(cube):
             scans.append(cube)
-            for violation in checks._matrix_violations(cube):
+            for violation in gate(cube):
                 yield violation
                 raise AssertionError("the associativity gate scanned past its first violation")
 
         monkeypatch.setattr(recovery, "_matrix_violations", first_only)
-        for cube in rejected:
+        for cube, witness in zip(rejected, expected):
             scans.clear()
-            result = _gate_sequence(cube)
+            result = recover(cube)
             assert scans == [cube]
-            assert result.witness == is_associative_matrix(cube, 1).witnesses[0]
+            assert result.witness == witness
 
     def test_certified_deficient_cubes_reach_no_gate(self, monkeypatch):
         # re-derivation settles commutativity, associativity and condition (A)
         cubes = _deficient_derived_cubes()
         assert {cube.n for cube in cubes} == {4, 6, 8, 10}
-        expected = [_gate_sequence(cube) for cube in cubes]
+        expected = [gates_only(cube) for cube in cubes]
         assert {result.reason for result in expected} == {"fails-condition-a"}
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a gate ran on a certified cube")
-
-        for name in ("_matrix_violations", "satisfies_condition_A", "is_commutative"):
-            monkeypatch.setattr(recovery, name, refuse)
+        _refuse_gates(monkeypatch)
         assert [recover(cube) for cube in cubes] == expected
 
-    def test_certificate_report_equals_condition_a(self):
-        reports = []
+    def test_certificate_report_equals_condition_a(self, monkeypatch):
+        # a certified cube's condition (A) comes from the rank of plane 1
+        # alone; its detail names the report the scan would give
+        certified = [
+            cube
+            for cube in _agreement_cubes()
+            if len(set(cube.planes[0])) == cube.n and recovery._read_off(cube).recovered
+        ]
+        expected = [gates_only(cube) for cube in certified]
+        assert {result.reason for result in expected} == {None, "fails-condition-a"}
+        _refuse_gates(monkeypatch)
+        assert [recover(cube) for cube in certified] == expected
+
+    def test_the_read_off_runs_at_most_once(self, monkeypatch):
+        z4 = cayley_table(InvariantFactors((4,)))
+        full_rank = derive_cube(z4, ["1/2", "1/5", "1/5", "1/10"])
+        coset = derive_cube(z4, coset_measure(random.Random(4406), z4.rows, 3))
+        assert len(set(coset.planes[0])) < coset.n
+        read_offs = _counting(monkeypatch, "_read_off")
+        assert recover(full_rank).recovered
+        assert read_offs == [full_rank]
+        read_offs.clear()
+        assert recover(coset).reason == "fails-condition-a"
+        assert read_offs == []
         for cube in _agreement_cubes():
-            certificate = recovery._certificate(cube)
-            if certificate is not None:
-                assert certificate[1] == checks.satisfies_condition_A(cube)
-                reports.append(certificate[1])
-        assert {report.holds for report in reports} == {True, False}
+            read_offs.clear()
+            recover(cube)
+            assert len(read_offs) <= 1
+
+    def test_a_read_off_rejection_comes_after_the_gates(self, monkeypatch):
+        # a full-rank derived cube passes every gate, so the rejection of
+        # the read-off, here forced, is the answer
+        table = cayley_table(InvariantFactors((2, 2)))
+        cube = derive_cube(table, random_nondegenerate_measure(random.Random(4407), table))
+        witness = Witness((1, 1, 1), "1/2", "1/3")
+        mismatch = RecoveryResult(None, None, None, "round-trip-mismatch", witness, "rebuilt cube differs from the input")
+        read_offs = []
+
+        def rejecting(cube):
+            read_offs.append(cube)
+            return mismatch
+
+        monkeypatch.setattr(recovery, "_read_off", rejecting)
+        names = ("is_commutative", "_matrix_violations", "satisfies_condition_A")
+        gates = [_counting(monkeypatch, name) for name in names]
+        assert recover(cube) == mismatch
+        assert read_offs == [cube]
+        assert gates == [[cube]] * 3
 
     def test_singular_mixture_with_distinct_columns_fails_condition_a(self):
         # every product column is distinct and the pair re-derives the cube,
