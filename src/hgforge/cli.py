@@ -64,7 +64,13 @@ def _witness_json(witness):
     }
 
 
-def _property_json(report):
+def _witness_text(witness):
+    where = ", ".join(str(i) for i in witness.indices)
+    return f"at ({where}): expected {witness.expected}, got {witness.actual}"
+
+
+def _property(report, indent=""):
+    """JSON object and text lines of one PropertyReport."""
     doc = {
         "name": report.name,
         "holds": report.holds,
@@ -73,25 +79,10 @@ def _property_json(report):
     }
     if report.detail is not None:
         doc["detail"] = report.detail
-    return doc
-
-
-def _condition_a_json(report):
-    return {
-        "name": "condition-a",
-        "holds": report.holds,
-        "distinct_column_count": report.distinct_column_count,
-        "left_ranks": list(report.left_ranks),
-        "right_ranks": list(report.right_ranks),
-    }
-
-
-def _print_property_text(report, indent=""):
     mark = "holds" if report.holds else f"fails ({report.violation_count} violations)"
-    print(f"{indent}{report.name}: {mark}")
-    for witness in report.witnesses:
-        where = ", ".join(str(i) for i in witness.indices)
-        print(f"{indent}  at ({where}): expected {witness.expected}, got {witness.actual}")
+    lines = [f"{indent}{report.name}: {mark}"]
+    lines += [f"{indent}  {_witness_text(w)}" for w in report.witnesses]
+    return doc, lines
 
 
 def _emit(args, document, text_renderer):
@@ -131,16 +122,37 @@ def cmd_validate(args):
 
 
 def _selected_reports(cube, selection, cap):
+    """One (JSON object, text lines) pair per selected check, in report order."""
     reports = []
     if selection in ("all", "commutative"):
-        reports.append(("property", is_commutative(cube, cap)))
+        reports.append(_property(is_commutative(cube, cap)))
     if selection in ("all", "associative"):
-        reports.append(("property", is_associative_matrix(cube, cap)))
-        reports.append(("property", is_associative_bruteforce(cube, cap)))
+        reports.append(_property(is_associative_matrix(cube, cap)))
+        reports.append(_property(is_associative_bruteforce(cube, cap)))
     if selection in ("all", "condition-a"):
-        reports.append(("condition-a", satisfies_condition_A(cube)))
+        report = satisfies_condition_A(cube)
+        doc = {
+            "name": "condition-a",
+            "holds": report.holds,
+            "distinct_column_count": report.distinct_column_count,
+            "left_ranks": list(report.left_ranks),
+            "right_ranks": list(report.right_ranks),
+        }
+        ranks_left = ", ".join(str(r) for r in report.left_ranks)
+        ranks_right = ", ".join(str(r) for r in report.right_ranks)
+        line = (
+            f"condition-a: {'holds' if report.holds else 'fails'} (distinct columns "
+            f"{report.distinct_column_count} of {report.n}; left ranks {ranks_left}; "
+            f"right ranks {ranks_right})"
+        )
+        reports.append((doc, [line]))
     if selection in ("all", "corollaries"):
-        reports.append(("corollaries", check_corollaries(cube, cap)))
+        subs = [_property(r, indent="  ") for r in check_corollaries(cube, cap)]
+        docs = [doc for doc, _ in subs]
+        holds = all(doc["holds"] for doc in docs)
+        lines = [f"corollaries: {'holds' if holds else 'fails'}"]
+        lines += [line for _, sub in subs for line in sub]
+        reports.append(({"name": "corollaries", "holds": holds, "reports": docs}, lines))
     return reports
 
 
@@ -155,46 +167,16 @@ def cmd_check(args):
         _emit(args, document, lambda: print(f"invalid cube: {err}", file=sys.stderr))
         return EXIT_FAILS
     reports = _selected_reports(cube, args.property, args.witness_cap)
-
-    json_properties = []
-    for kind, report in reports:
-        if kind == "property":
-            json_properties.append(_property_json(report))
-        elif kind == "condition-a":
-            json_properties.append(_condition_a_json(report))
-        else:
-            group = [_property_json(r) for r in report]
-            holds = all(r["holds"] for r in group)
-            json_properties.append({"name": "corollaries", "holds": holds, "reports": group})
-    all_hold = all(p["holds"] for p in json_properties)
-
+    holds = all(doc["holds"] for doc, _ in reports)
     document = {
         "schema": SCHEMA,
         "command": "check",
         "n": cube.n,
-        "holds": all_hold,
-        "properties": json_properties,
+        "holds": holds,
+        "properties": [doc for doc, _ in reports],
     }
-
-    def text():
-        for kind, report in reports:
-            if kind == "property":
-                _print_property_text(report)
-            elif kind == "condition-a":
-                state = "holds" if report.holds else "fails"
-                ranks_left = ", ".join(str(r) for r in report.left_ranks)
-                ranks_right = ", ".join(str(r) for r in report.right_ranks)
-                print(
-                    f"condition-a: {state} (distinct columns {report.distinct_column_count} of "
-                    f"{report.n}; left ranks {ranks_left}; right ranks {ranks_right})"
-                )
-            else:
-                print(f"corollaries: {'holds' if all(r.holds for r in report) else 'fails'}")
-                for sub in report:
-                    _print_property_text(sub, indent="  ")
-
-    _emit(args, document, text)
-    return EXIT_OK if all_hold else EXIT_FAILS
+    _emit(args, document, lambda: print("\n".join(line for _, lines in reports for line in lines)))
+    return EXIT_OK if holds else EXIT_FAILS
 
 
 def cmd_derive(args):
@@ -278,8 +260,7 @@ def cmd_recover(args):
     def text():
         print(f"not derived from any group: {result.reason}")
         if result.witness is not None:
-            where = ", ".join(str(i) for i in result.witness.indices)
-            print(f"  at ({where}): expected {result.witness.expected}, got {result.witness.actual}")
+            print(f"  {_witness_text(result.witness)}")
         if result.detail is not None:
             print(f"  {result.detail}")
 
@@ -462,9 +443,5 @@ def main(argv=None) -> int:
         return EXIT_FAILS
 
 
-def app():  # console-script entry point
-    raise SystemExit(main())
-
-
-if __name__ == "__main__":  # pragma: no cover
+def app():  # entry point of the hgforge script and of python -m hgforge
     raise SystemExit(main())

@@ -27,14 +27,17 @@ class InvalidTable(ValueError):
 class InvariantFactors:
     """Invariant-factor name of an abelian group: (2, 4) is Z2 x Z4.
 
-    The empty tuple names the trivial group of order 1.
+    The empty tuple names the trivial group of order 1.  A factor that
+    is not an int (a float, a bool) is refused with ValueError.
     """
 
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(int(d) for d in self.factors))
+        object.__setattr__(self, "factors", tuple(self.factors))
         for d in self.factors:
+            if type(d) is not int:
+                raise ValueError(f"invariant factor {d!r} is not an integer")
             if d < 2:
                 raise ValueError(f"invariant factor {d} is below 2")
         for a, b in zip(self.factors, self.factors[1:]):
@@ -90,12 +93,14 @@ def enumerate_abelian_groups(n) -> list[InvariantFactors]:
 
     One entry per choice of an integer partition of each prime exponent;
     results are sorted in descending lexicographic order of the factor
-    list, so the cyclic group comes first.  Orders above
-    DEFAULT_ORDER_CAP are refused.
+    list, so the cyclic group comes first.  An n that is not an int (a
+    float, a bool) and orders above DEFAULT_ORDER_CAP are refused.
 
     >>> [g.factors for g in enumerate_abelian_groups(8)]
     [(8,), (2, 4), (2, 2, 2)]
     """
+    if type(n) is not int:
+        raise ValueError(f"group order must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"group order must be positive, got {n}")
     if n > DEFAULT_ORDER_CAP:
@@ -130,14 +135,18 @@ def verify_group_axioms(rows) -> PropertyReport:
     then associativity, then commutativity.  The report stops at the
     first broken axiom so its witnesses all speak about one thing; detail
     names that axiom.  An associative Latin square is a group, so it has
-    a two-sided identity, and on success detail locates it.
+    a two-sided identity, and on success detail locates it.  Raises
+    ValueError for a table that is not square, or for a value that is
+    not an int in 1..n.
     """
-    table = tuple(tuple(int(x) for x in row) for row in rows)
+    table = tuple(map(tuple, rows))
     n = len(table)
     if n == 0 or any(len(row) != n for row in table):
         raise ValueError("table must be square and non-empty")
     for row in table:
         for x in row:
+            if type(x) is not int:
+                raise ValueError(f"table value {x!r} is not an integer")
             if not 1 <= x <= n:
                 raise ValueError(f"table value {x} out of range 1..{n}")
 
@@ -186,14 +195,15 @@ class CayleyTable:
     """Validated abelian-group table, 1-based, identity at state 1.
 
     Construction runs the full axiom check and raises InvalidTable on
-    any failure, so holding a CayleyTable is proof of the group axioms.
+    any failure, a label that is not an int (a float, a bool) included,
+    so holding a CayleyTable is proof of the group axioms.
     """
 
     n: int
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(int(x) for x in row) for row in self.rows))
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         if self.n != len(self.rows):
             raise InvalidTable(f"declared {self.n} states but table has {len(self.rows)} rows")
         try:

@@ -226,30 +226,28 @@ def extract_group_by_value(cube, value) -> ExtractionResult:
 
     Fails with value-absent when v appears nowhere, not-functional when
     some (i, j) sees v zero or several times (always the case when the
-    measure has repeated values), or group-axiom-failure.
+    measure has repeated values), or group-axiom-failure.  Every decision
+    is made on the cube's integer planes, against D * v; a v that is not
+    a multiple of 1/D matches no entry.
     """
     cube = validate_cube(cube)
     v = rat(value)
     n = cube.n
-    hit_lists = [
-        [[k for k in range(n) if cube.entries[i][j][k] == v] for j in range(n)] for i in range(n)
-    ]
-    if not any(hits for plane in hit_lists for hits in plane):
+    scaled = v * cube.denominator
+    target = scaled.numerator if scaled.denominator == 1 else None
+    counts = [[col.count(target) for col in plane] for plane in cube.planes]
+    if not any(map(any, counts)):
         return ExtractionResult(None, VALUE_ABSENT, detail=f"value {v} appears nowhere")
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            hits = hit_lists[i][j]
-            if len(hits) != 1:
-                return ExtractionResult(
-                    None,
-                    NOT_FUNCTIONAL,
-                    witness=(i + 1, j + 1),
-                    detail=(
-                        f"value {v} appears {len(hits)} times in column ({i + 1}, {j + 1})"
-                    ),
-                )
-            rows[i][j] = hits[0] + 1
+    unmatched = next(((i, j) for i in range(n) for j in range(n) if counts[i][j] != 1), None)
+    if unmatched is not None:
+        i, j = unmatched
+        return ExtractionResult(
+            None,
+            NOT_FUNCTIONAL,
+            witness=(i + 1, j + 1),
+            detail=f"value {v} appears {counts[i][j]} times in column ({i + 1}, {j + 1})",
+        )
+    rows = [[col.index(target) + 1 for col in plane] for plane in cube.planes]
 
     identity = next(
         (

@@ -509,3 +509,44 @@ def oracle_load(doc):
     if violations:
         return ("violations", violations)
     return ("cube", common, planes)
+
+
+def oracle_extract_by_value(entries, value):
+    """What extracting a group at one value must give, in Fractions.
+
+    For every column (i, j) collect the states k whose entry equals the
+    value.  Returns ("value-absent", None, detail) when no entry does,
+    ("not-functional", (i, j), detail) for the first column, row by row,
+    that holds it other than once, ("group-axiom-failure", None, None)
+    when the table k = i * j has no two-sided identity or, relabelled so
+    that identity is state 1, is not an abelian group, and
+    ("table", rows, None) with the relabelled 1-based rows otherwise.
+    """
+    cube = _fraction_cube(entries)
+    v = Fraction(value)
+    n = len(cube)
+    hits = [[[k + 1 for k in range(n) if cube[i][j][k] == v] for j in range(n)] for i in range(n)]
+    if all(not h for plane in hits for h in plane):
+        return ("value-absent", None, f"value {v} appears nowhere")
+    for i in range(n):
+        for j in range(n):
+            if len(hits[i][j]) != 1:
+                detail = f"value {v} appears {len(hits[i][j])} times in column ({i + 1}, {j + 1})"
+                return ("not-functional", (i + 1, j + 1), detail)
+    mul = {(i, j): hits[i - 1][j - 1][0] for i in range(1, n + 1) for j in range(1, n + 1)}
+    units = [e for e in range(1, n + 1) if all(mul[e, x] == x == mul[x, e] for x in range(1, n + 1))]
+    if not units:
+        return ("group-axiom-failure", None, None)
+    # swap the identity's label with state 1's
+    swap = {x: x for x in range(1, n + 1)}
+    swap[1], swap[units[0]] = units[0], 1
+    rows = [[swap[mul[swap[a], swap[b]]] for b in range(1, n + 1)] for a in range(1, n + 1)]
+    states = set(range(1, n + 1))
+    latin = all(set(row) == states for row in rows) and all(set(col) == states for col in zip(*rows))
+    abelian = all(rows[a][b] == rows[b][a] for a in range(n) for b in range(n))
+    associative = all(
+        rows[rows[a][b] - 1][c] == rows[a][rows[b][c] - 1] for a in range(n) for b in range(n) for c in range(n)
+    )
+    if not (latin and abelian and associative):
+        return ("group-axiom-failure", None, None)
+    return ("table", [tuple(row) for row in rows], None)

@@ -116,6 +116,41 @@ class TestCayleyTable:
             CayleyTable(3, ((1, 2), (2, 1)))
 
 
+class TestNonIntegersRefused:
+    """Orders, factors and table labels must be ints, as in files; a float
+    or a bool was once truncated into a valid group."""
+
+    def test_invariant_factors(self):
+        with pytest.raises(ValueError, match="invariant factor 2.5 is not an integer"):
+            InvariantFactors((2.5, 4.9))
+
+    def test_cayley_table_of_float_factors(self):
+        with pytest.raises(ValueError, match="invariant factor 2.5 is not an integer"):
+            cayley_table((2.5,))
+
+    def test_table_with_float_labels(self):
+        with pytest.raises(InvalidTable, match="table value 1.0 is not an integer"):
+            CayleyTable(2, ((1.0, 2.7), (2.2, 1.9)))
+
+    def test_enumeration_order(self):
+        with pytest.raises(ValueError, match="group order must be an integer, got 2.5"):
+            enumerate_abelian_groups(2.5)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: enumerate_abelian_groups(True),
+            lambda: InvariantFactors((2, True)),
+            lambda: CayleyTable(1, ((True,),)),
+            lambda: verify_group_axioms([[True]]),
+        ],
+        ids=["enumeration", "factors", "table", "axioms"],
+    )
+    def test_true_is_not_one(self, build):
+        with pytest.raises(ValueError, match="True"):
+            build()
+
+
 class TestVerifyAxioms:
     def test_generated_tables_pass(self):
         for n in (1, 2, 4, 6, 9):

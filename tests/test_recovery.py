@@ -28,6 +28,7 @@ from oracles import (
     index_two_measure,
     left_action,
     oracle_derive,
+    oracle_extract_by_value,
     oracle_mixture,
     perturbed_entries,
     search_nonassociative_loop,
@@ -270,6 +271,46 @@ class TestExtraction:
             result = extract_group_by_value(cube, value)
             assert result.extracted
             assert result.table.rows[0][0] == 1
+
+    def test_matches_fraction_oracle(self):
+        # derived (distinct and repeated values), perturbed and random cubes,
+        # point masses of a non-associative loop and of a table with no
+        # identity; each value as a Fraction, a string and (when whole) an
+        # int, plus values that are not multiples of 1/D
+        rng = random.Random(29)
+        cubes = []
+        for n in range(1, 6):
+            for factors in enumerate_abelian_groups(n):
+                table = cayley_table(factors)
+                for denominator in (4, 1000):
+                    entries = derive_cube(table, random_measure(rng, n, denominator)).entries
+                    cubes.append(entries)
+                    if n > 1:
+                        cubes.append(perturbed_entries(entries, rng, symmetric=rng.random() < 0.5))
+            columns = [random_measure(rng, n, 6).values for _ in range(n * n)]
+            cubes.append([columns[i * n : (i + 1) * n] for i in range(n)])
+        loop = search_nonassociative_loop()
+        cubes.append([[[int(k + 1 == loop[i][j]) for k in range(5)] for j in range(5)] for i in range(5)])
+        cubes.append([[[1, 0], [1, 0]], [[0, 1], [0, 1]]])
+        reasons = set()
+        for entries in cubes:
+            cube = validate_cube(entries)
+            values = {rat(q) for plane in cube.entries for col in plane for q in col}
+            values |= {rat(0), rat(1), rat(2), rat(1, 7), rat(1, 2 * cube.denominator)}
+            for value in sorted(values):
+                expected = oracle_extract_by_value(entries, value)
+                reasons.add(expected[0])
+                spellings = [value, str(value)] + ([int(value)] if value.denominator == 1 else [])
+                for spelling in spellings:
+                    result = extract_group_by_value(cube, spelling)
+                    if expected[0] == "table":
+                        assert result.extracted and list(result.table.rows) == expected[1], (entries, value)
+                    elif expected[0] == "group-axiom-failure":
+                        assert result.reason == expected[0], (entries, value)
+                    else:
+                        got = (result.reason, result.witness, result.detail)
+                        assert got == expected, (entries, value)
+        assert reasons == {"table", "value-absent", "not-functional", "group-axiom-failure"}
 
 
 def _s3_rows():
