@@ -41,7 +41,6 @@ from .groups import (
 )
 from .derivation import (
     DegeneracyVerdict,
-    MixtureMatrix,
     degeneracy_check,
     derive_cube,
     mixture_matrix,
@@ -73,7 +72,6 @@ __all__ = [
     "InvalidTable",
     "InvariantFactors",
     "MeasureVector",
-    "MixtureMatrix",
     "OperandBoundError",
     "PropertyReport",
     "RationalMatrix",

@@ -42,7 +42,8 @@ class Witness:
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """Verdict for one property.
+    """Verdict for one property of a cube: its name, whether it holds,
+    its first witnesses in scan order and its full violation count.
 
     holds is true exactly when witnesses is empty.  violation_count is
     the full count even when the witness list is truncated at the cap.
@@ -52,7 +53,6 @@ class PropertyReport:
     holds: bool
     witnesses: tuple[Witness, ...]
     violation_count: int
-    detail: str | None = None
 
 
 class _Collector:
@@ -80,8 +80,8 @@ class _Collector:
                 Witness(tuple(indices), _unscaled_vector(expected, scale), _unscaled_vector(actual, scale))
             )
 
-    def report(self, name, detail=None):
-        return PropertyReport(name, self.count == 0, tuple(self.witnesses), self.count, detail)
+    def report(self, name):
+        return PropertyReport(name, self.count == 0, tuple(self.witnesses), self.count)
 
 
 def _unscaled_vector(values, scale):

@@ -22,7 +22,7 @@ import json
 import random
 import sys
 
-from .core import ValidationError
+from .core import MAX_OPERAND_DIGITS, ValidationError
 from .checks import (
     DEFAULT_WITNESS_CAP,
     check_corollaries,
@@ -77,8 +77,6 @@ def _property(report, indent=""):
         "violation_count": report.violation_count,
         "witnesses": [_witness_json(w) for w in report.witnesses],
     }
-    if report.detail is not None:
-        doc["detail"] = report.detail
     mark = "holds" if report.holds else f"fails ({report.violation_count} violations)"
     lines = [f"{indent}{report.name}: {mark}"]
     lines += [f"{indent}  {_witness_text(w)}" for w in report.witnesses]
@@ -302,6 +300,11 @@ def cmd_roundtrip(args):
         return EXIT_INPUT
     if args.denominator < 1:
         print("error: denominator must be at least 1", file=sys.stderr)
+        return EXIT_INPUT
+    # a draw's common denominator divides its numerator total, at most
+    # order * denominator, so below the bound no draw can exceed it
+    if args.order * args.denominator >= 10**MAX_OPERAND_DIGITS:
+        print(f"error: order times denominator must be below 10**{MAX_OPERAND_DIGITS}", file=sys.stderr)
         return EXIT_INPUT
     rng = random.Random(args.seed)
     groups = enumerate_abelian_groups(args.order)

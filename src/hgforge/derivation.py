@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from .core import (
     DimensionMismatch,
-    MeasureVector,
     RationalMatrix,
     StructureCube,
     scale_to_integers,
@@ -32,20 +31,6 @@ from .groups import CayleyTable
 NON_DEGENERATE = "non-degenerate"
 REPEATED_TRANSLATES = "repeated-translates"
 SINGULAR_MIXTURE = "singular-mixture"
-
-
-@dataclass(frozen=True)
-class MixtureMatrix:
-    """Measure-weighted sum of the translation permutations of a group.
-
-    Column j is the measure translated by state j; column 1 is the
-    measure itself.  Commutativity of the group makes this matrix
-    commute with every translation permutation.
-    """
-
-    table: CayleyTable
-    measure: MeasureVector
-    matrix: RationalMatrix
 
 
 @dataclass(frozen=True)
@@ -89,13 +74,14 @@ def _translates(table: CayleyTable, values):
     return [tuple(values[s - 1] for s in rows[row.index(1)]) for row in rows]
 
 
-def mixture_matrix(table: CayleyTable, measure) -> MixtureMatrix:
-    """Sum of measure-weighted translation permutations.
+def mixture_matrix(table: CayleyTable, measure) -> RationalMatrix:
+    """Measure-weighted sum of the translation permutations of a group.
 
-    Column j is the translate of the measure by state j.
+    Column j is the measure translated by state j; column 1 is the
+    measure itself.  Commutativity of the group makes this matrix
+    commute with every translation permutation.
     """
-    measure = validate_measure(measure)
-    return MixtureMatrix(table, measure, RationalMatrix(tuple(zip(*_translates(table, measure.values)))))
+    return RationalMatrix(tuple(zip(*_translates(table, validate_measure(measure).values))))
 
 
 def derive_cube(table: CayleyTable, measure) -> StructureCube:

@@ -14,8 +14,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .checks import DEFAULT_WITNESS_CAP, PropertyReport, _Collector
-
 DEFAULT_ORDER_CAP = 256
 
 
@@ -128,43 +126,38 @@ def _abelian_groups(n) -> list[InvariantFactors]:
     return groups
 
 
-def verify_group_axioms(rows) -> PropertyReport:
-    """Check an n*n table of 1-based values axiom by axiom.
+def verify_group_axioms(rows) -> None:
+    """Raise InvalidTable at the first group axiom an n*n table breaks.
 
-    Order of testing: Latin square (every row and column a permutation),
-    then associativity, then commutativity.  The report stops at the
-    first broken axiom so its witnesses all speak about one thing; detail
-    names that axiom.  An associative Latin square is a group, so it has
-    a two-sided identity, and on success detail locates it.  Raises
-    ValueError for a table that is not square, or for a value that is
-    not an int in 1..n.
+    Order of testing: the table is square and non-empty, every value is
+    an int in 1..n (a float or a bool is refused), every row and then
+    every column is a permutation of 1..n, associativity, commutativity,
+    and last the identity at state 1.  A broken axiom is reported with
+    its first witness in scan order.  An associative Latin square is a
+    group, so it has a two-sided identity, and the message of the last
+    test locates it.
     """
     table = tuple(map(tuple, rows))
     n = len(table)
     if n == 0 or any(len(row) != n for row in table):
-        raise ValueError("table must be square and non-empty")
+        raise InvalidTable("table must be square and non-empty")
     for row in table:
         for x in row:
             if type(x) is not int:
-                raise ValueError(f"table value {x!r} is not an integer")
+                raise InvalidTable(f"table value {x!r} is not an integer")
             if not 1 <= x <= n:
-                raise ValueError(f"table value {x} out of range 1..{n}")
+                raise InvalidTable(f"table value {x} out of range 1..{n}")
 
-    latin = _Collector(DEFAULT_WITNESS_CAP)
     full = frozenset(range(1, n + 1))
-    for i, row in enumerate(table):
-        if frozenset(row) != full:
-            repeated = sorted(x for x in full if row.count(x) > 1)
-            latin.add((i + 1,), "each of 1..n once in the row", f"value {repeated[0]} repeats")
-    for j in range(n):
-        col = [table[i][j] for i in range(n)]
-        if frozenset(col) != full:
-            repeated = sorted(x for x in full if col.count(x) > 1)
-            latin.add((j + 1,), "each of 1..n once in the column", f"value {repeated[0]} repeats")
-    if latin.count:
-        return latin.report("group-axioms", detail="latin-square")
+    for where, lines in (("row", table), ("column", tuple(zip(*table)))):
+        for i, line in enumerate(lines):
+            if frozenset(line) != full:
+                repeated = next(x for x in range(1, n + 1) if line.count(x) > 1)
+                raise InvalidTable(
+                    f"latin-square fails at ({i + 1},): expected each of 1..n once in the {where}, "
+                    f"got value {repeated} repeats"
+                )
 
-    assoc = _Collector(DEFAULT_WITNESS_CAP)
     for i in range(n):
         for j in range(n):
             tij = table[i][j]
@@ -172,31 +165,34 @@ def verify_group_axioms(rows) -> PropertyReport:
                 lhs = table[tij - 1][k]
                 rhs = table[i][table[j][k] - 1]
                 if lhs != rhs:
-                    assoc.add((i + 1, j + 1, k + 1), f"state {lhs}", f"state {rhs}")
-    if assoc.count:
-        return assoc.report("group-axioms", detail="associativity")
+                    raise InvalidTable(
+                        f"associativity fails at ({i + 1}, {j + 1}, {k + 1}): "
+                        f"expected state {lhs}, got state {rhs}"
+                    )
 
-    commut = _Collector(DEFAULT_WITNESS_CAP)
     for i in range(n):
         for j in range(i + 1, n):
             if table[i][j] != table[j][i]:
-                commut.add((i + 1, j + 1), f"state {table[i][j]}", f"state {table[j][i]}")
-    if commut.count:
-        return commut.report("group-axioms", detail="commutativity")
+                raise InvalidTable(
+                    f"commutativity fails at ({i + 1}, {j + 1}): "
+                    f"expected state {table[i][j]}, got state {table[j][i]}"
+                )
 
     # an associative Latin square is a group: its one left identity, the
     # state whose row is 1..n, is the two-sided identity
-    identity = table.index(tuple(range(1, n + 1)))
-    return PropertyReport("group-axioms", True, (), 0, f"identity at state {identity + 1}")
+    identity = table.index(tuple(range(1, n + 1))) + 1
+    if identity != 1:
+        raise InvalidTable(f"identity at state {identity}, expected state 1")
 
 
 @dataclass(frozen=True)
 class CayleyTable:
     """Validated abelian-group table, 1-based, identity at state 1.
 
-    Construction runs the full axiom check and raises InvalidTable on
-    any failure, a label that is not an int (a float, a bool) included,
-    so holding a CayleyTable is proof of the group axioms.
+    Construction refuses an n that is not an int or not the row count,
+    then runs verify_group_axioms, which raises InvalidTable at the first
+    failure, a label that is not an int (a float, a bool) included; so
+    holding a CayleyTable is proof of the group axioms.
     """
 
     n: int
@@ -204,19 +200,9 @@ class CayleyTable:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
-        if self.n != len(self.rows):
+        if type(self.n) is not int or self.n != len(self.rows):
             raise InvalidTable(f"declared {self.n} states but table has {len(self.rows)} rows")
-        try:
-            report = verify_group_axioms(self.rows)
-        except ValueError as err:
-            raise InvalidTable(str(err)) from None
-        if not report.holds:
-            first = report.witnesses[0]
-            raise InvalidTable(
-                f"{report.detail} fails at {first.indices}: expected {first.expected}, got {first.actual}"
-            )
-        if report.detail != "identity at state 1":
-            raise InvalidTable(f"{report.detail}, expected state 1")
+        verify_group_axioms(self.rows)
 
     def element_order(self, i) -> int:
         power, order = i, 1

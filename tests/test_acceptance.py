@@ -154,7 +154,7 @@ def test_criterion_3_degeneracy():
     if verdict.kind != "singular-mixture":
         failures.append(("z4", verdict.kind))
     else:
-        matrix = mixture_matrix(z4, measure).matrix
+        matrix = mixture_matrix(z4, measure)
         for row in matrix.entries:
             if sum(r * v for r, v in zip(row, verdict.kernel_vector)) != 0:
                 failures.append(("z4", "kernel not annihilated"))

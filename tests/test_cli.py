@@ -360,6 +360,23 @@ class TestRoundtrip:
         assert captured.out == ""
         assert captured.err == "error: denominator must be at least 1\n"
 
+    @pytest.mark.parametrize(
+        "order, denominator",
+        [(2, 10**3000), (2, 5 * 10**2149), (8, 10**2150 // 8)],
+        ids=["far-past", "at-the-bound", "order-8-at-the-bound"],
+    )
+    def test_denominator_past_the_operand_bound(self, capsys, order, denominator):
+        # refused before any draw: a draw's common denominator can reach
+        # order * denominator, which scale_to_integers would refuse
+        assert run_cli("roundtrip", "--order", order, "--trials", "1", "--denominator", denominator) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: order times denominator must be below 10**2150\n"
+
+    def test_denominator_just_below_the_operand_bound(self, capsys):
+        assert run_cli("roundtrip", "--order", "2", "--trials", "1", "--denominator", 10**2149) == 0
+        assert capsys.readouterr().out == "[2]: 1 passed, 0 failed\nall round trips exact\n"
+
     @pytest.mark.parametrize("denominator", [0, -3])
     def test_random_measure_refuses_bad_denominator(self, denominator):
         with pytest.raises(ValueError, match="denominator must be at least 1"):

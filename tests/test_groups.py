@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import hgforge.groups
 from hgforge import (
     CayleyTable,
     InvalidTable,
@@ -116,6 +119,52 @@ class TestCayleyTable:
             CayleyTable(3, ((1, 2), (2, 1)))
 
 
+_S3 = (
+    (1, 2, 3, 4, 5, 6),
+    (2, 1, 5, 6, 3, 4),
+    (3, 4, 1, 2, 6, 5),
+    (4, 3, 6, 5, 1, 2),
+    (5, 6, 2, 1, 4, 3),
+    (6, 5, 4, 3, 2, 1),
+)
+
+
+@pytest.mark.parametrize(
+    "n, rows, message",
+    [
+        (2, [[1, 2], [2, 2]], "latin-square fails at (2,): expected each of 1..n once in the row, got value 2 repeats"),
+        (2, [[1, 2], [1, 2]], "latin-square fails at (1,): expected each of 1..n once in the column, got value 1 repeats"),
+        (5, search_nonassociative_loop(5), "associativity fails at (2, 2, 3): expected state 3, got state 5"),
+        (6, _S3, "commutativity fails at (2, 3): expected state 5, got state 4"),
+        (2, [[2, 1], [1, 2]], "identity at state 2, expected state 1"),
+        (3, [[1, 2], [2, 1]], "declared 3 states but table has 2 rows"),
+        (2, [[1, 2], [2]], "table must be square and non-empty"),
+        (0, [], "table must be square and non-empty"),
+        (2, [[1, 2], [2, 3]], "table value 3 out of range 1..2"),
+        (2, [[1.0, 2], [2, 1]], "table value 1.0 is not an integer"),
+        (1, [[True]], "table value True is not an integer"),
+    ],
+    ids=[
+        "row-repeat",
+        "column-repeat",
+        "loop",
+        "s3",
+        "identity",
+        "declared-n",
+        "ragged",
+        "empty",
+        "out-of-range",
+        "float-label",
+        "bool-label",
+    ],
+)
+def test_invalid_table_messages(n, rows, message):
+    # every message is pinned byte for byte: it is what a caller sees
+    with pytest.raises(InvalidTable) as err:
+        CayleyTable(n, rows)
+    assert str(err.value) == message
+
+
 class TestNonIntegersRefused:
     """Orders, factors and table labels must be ints, as in files; a float
     or a bool was once truncated into a valid group."""
@@ -137,6 +186,19 @@ class TestNonIntegersRefused:
             enumerate_abelian_groups(2.5)
 
     @pytest.mark.parametrize(
+        "n, rows, message",
+        [
+            (2.0, ((1, 2), (2, 1)), "declared 2.0 states but table has 2 rows"),
+            (True, ((1,),), "declared True states but table has 1 rows"),
+        ],
+        ids=["float", "bool"],
+    )
+    def test_declared_order(self, n, rows, message):
+        with pytest.raises(InvalidTable) as err:
+            CayleyTable(n, rows)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
         "build",
         [
             lambda: enumerate_abelian_groups(True),
@@ -155,36 +217,22 @@ class TestVerifyAxioms:
     def test_generated_tables_pass(self):
         for n in (1, 2, 4, 6, 9):
             for factors in enumerate_abelian_groups(n):
-                report = verify_group_axioms(cayley_table(factors).rows)
-                assert report.holds
-                assert report.detail == "identity at state 1"
+                assert verify_group_axioms(cayley_table(factors).rows) is None
 
     def test_latin_failure(self):
-        report = verify_group_axioms([[1, 2], [2, 2]])
-        assert not report.holds
-        assert report.detail == "latin-square"
-        assert any(w.indices == (2,) and "2" in w.actual for w in report.witnesses)
+        # row 2 repeats value 2
+        with pytest.raises(InvalidTable, match=r"^latin-square fails at \(2,\): .*got value 2 repeats$"):
+            verify_group_axioms([[1, 2], [2, 2]])
 
     def test_nonassociative_loop_found_by_search(self):
-        rows = search_nonassociative_loop(5)
-        report = verify_group_axioms(rows)
-        assert not report.holds
-        assert report.detail == "associativity"
+        with pytest.raises(InvalidTable, match="^associativity fails at "):
+            verify_group_axioms(search_nonassociative_loop(5))
 
     def test_noncommutative_detected(self):
         # S_3: smallest non-abelian group; associative Latin square with
         # identity, so the commutativity stage is the one that trips
-        s3 = [
-            [1, 2, 3, 4, 5, 6],
-            [2, 1, 5, 6, 3, 4],
-            [3, 4, 1, 2, 6, 5],
-            [4, 3, 6, 5, 1, 2],
-            [5, 6, 2, 1, 4, 3],
-            [6, 5, 4, 3, 2, 1],
-        ]
-        report = verify_group_axioms(s3)
-        assert not report.holds
-        assert report.detail == "commutativity"
+        with pytest.raises(InvalidTable, match="^commutativity fails at "):
+            verify_group_axioms(_S3)
 
     def test_out_of_range_values(self):
         with pytest.raises(ValueError):
@@ -244,3 +292,17 @@ class TestCanonicalForm:
         # all eleven classes of order 64 have distinct order multisets
         orders = [tuple(f.element_orders()) for f in enumerate_abelian_groups(64)]
         assert len(set(orders)) == len(orders)
+
+
+def test_groups_imports_nothing_from_checks():
+    # groups sits below checks: the axiom check raises its own errors and
+    # builds no cube reports
+    source = Path(hgforge.groups.__file__).read_text()
+    modules = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+    assert modules
+    assert not [m for m in modules if m.rsplit(".", 1)[-1] == "checks"], modules
