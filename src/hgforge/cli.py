@@ -9,6 +9,10 @@ roundtrip.  Every command takes --format text|json; JSON reports carry
   2  unreadable or malformed input
   3  derive only: degenerate pair, output still written
 
+Each cmd_* function returns (exit code, JSON document, text lines), or
+raises _Refusal(exit code, stderr line), and writes nothing itself:
+main is the only writer to stdout and stderr.
+
 Output is a pure function of the inputs: no timestamps, no absolute
 paths, no hash-order dependence.  Running a command twice on the same
 files produces identical bytes.
@@ -83,13 +87,6 @@ def _property(report, indent=""):
     return doc, lines
 
 
-def _emit(args, document, text_renderer):
-    if args.format == "json":
-        sys.stdout.write(serialize(document))
-    else:
-        text_renderer()
-
-
 def _violations_document(command, err):
     """JSON report of a cube that fails validation, for validate and check."""
     return {
@@ -102,21 +99,22 @@ def _violations_document(command, err):
     }
 
 
+class _Refusal(Exception):
+    """Raised by a command as _Refusal(exit_code, stderr_line)."""
+
+
+def _factors_label(factors):
+    return json.dumps(list(factors.factors), separators=(",", ":"))
+
+
 def cmd_validate(args):
     try:
         cube = load_cube(args.cube)
     except ValidationError as err:
-
-        def text():
-            print("invalid cube:")
-            for violation in err.violations:
-                print(f"  {violation}")
-
-        _emit(args, _violations_document("validate", err), text)
-        return EXIT_FAILS
+        lines = ["invalid cube:"] + [f"  {violation}" for violation in err.violations]
+        return EXIT_FAILS, _violations_document("validate", err), lines
     document = {"schema": SCHEMA, "command": "validate", "valid": True, "n": cube.n}
-    _emit(args, document, lambda: print(f"valid cube on {cube.n} states"))
-    return EXIT_OK
+    return EXIT_OK, document, [f"valid cube on {cube.n} states"]
 
 
 def _selected_reports(cube, selection, cap):
@@ -156,14 +154,14 @@ def _selected_reports(cube, selection, cap):
 
 def cmd_check(args):
     if args.witness_cap < 1:
-        print("error: witness cap must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Refusal(EXIT_INPUT, "error: witness cap must be at least 1")
     try:
         cube = load_cube(args.cube)
     except ValidationError as err:
-        document = _violations_document("check", err)
-        _emit(args, document, lambda: print(f"invalid cube: {err}", file=sys.stderr))
-        return EXIT_FAILS
+        # text mode reports an invalid cube on stderr; JSON, as a report
+        if args.format == "text":
+            raise _Refusal(EXIT_FAILS, f"invalid cube: {err}")
+        return EXIT_FAILS, _violations_document("check", err), []
     reports = _selected_reports(cube, args.property, args.witness_cap)
     holds = all(doc["holds"] for doc, _ in reports)
     document = {
@@ -173,19 +171,15 @@ def cmd_check(args):
         "holds": holds,
         "properties": [doc for doc, _ in reports],
     }
-    _emit(args, document, lambda: print("\n".join(line for _, lines in reports for line in lines)))
-    return EXIT_OK if holds else EXIT_FAILS
+    lines = [line for _, report_lines in reports for line in report_lines]
+    return (EXIT_OK if holds else EXIT_FAILS), document, lines
 
 
 def cmd_derive(args):
     group = load_group(args.group)
     measure = load_measure(args.measure)
     if group.n != measure.n:
-        print(
-            f"error: group has {group.n} states but measure has {measure.n}",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
+        raise _Refusal(EXIT_INPUT, f"error: group has {group.n} states but measure has {measure.n}")
     cube = derive_cube(group, measure)
     verdict = degeneracy_check(group, measure)
     write_document(args.out, cube_to_document(cube))
@@ -202,13 +196,8 @@ def cmd_derive(args):
         "out": args.out,
         "degeneracy": degeneracy,
     }
-
-    def text():
-        print(f"wrote cube on {cube.n} states to {args.out}")
-        print(f"degeneracy: {verdict.describe()}")
-
-    _emit(args, document, text)
-    return EXIT_DEGENERATE if verdict.degenerate else EXIT_OK
+    lines = [f"wrote cube on {cube.n} states to {args.out}", f"degeneracy: {verdict.describe()}"]
+    return (EXIT_DEGENERATE if verdict.degenerate else EXIT_OK), document, lines
 
 
 def cmd_recover(args):
@@ -234,15 +223,13 @@ def cmd_recover(args):
             "measure": [scalar_to_json(q) for q in result.measure.values],
             "round_trip": "exact",
         }
-
-        def text():
-            factors = ", ".join(str(d) for d in result.factors.factors)
-            print(f"recovered group with invariant factors [{factors}]")
-            print(f"measure: {', '.join(str(q) for q in result.measure.values)}")
-            print("round-trip: exact")
-
-        _emit(args, document, text)
-        return EXIT_OK
+        factors = ", ".join(str(d) for d in result.factors.factors)
+        lines = [
+            f"recovered group with invariant factors [{factors}]",
+            f"measure: {', '.join(str(q) for q in result.measure.values)}",
+            "round-trip: exact",
+        ]
+        return EXIT_OK, document, lines
 
     document = {
         "schema": SCHEMA,
@@ -250,28 +237,21 @@ def cmd_recover(args):
         "recovered": False,
         "reason": result.reason,
     }
+    lines = [f"not derived from any group: {result.reason}"]
     if result.witness is not None:
         document["witness"] = _witness_json(result.witness)
+        lines.append(f"  {_witness_text(result.witness)}")
     if result.detail is not None:
         document["detail"] = result.detail
-
-    def text():
-        print(f"not derived from any group: {result.reason}")
-        if result.witness is not None:
-            print(f"  {_witness_text(result.witness)}")
-        if result.detail is not None:
-            print(f"  {result.detail}")
-
-    _emit(args, document, text)
-    return EXIT_FAILS
+        lines.append(f"  {result.detail}")
+    return EXIT_FAILS, document, lines
 
 
 def cmd_enumerate_groups(args):
     try:
         groups = enumerate_abelian_groups(args.n)
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Refusal(EXIT_INPUT, f"error: {err}")
     document = {
         "schema": SCHEMA,
         "command": "enumerate-groups",
@@ -279,38 +259,26 @@ def cmd_enumerate_groups(args):
         "count": len(groups),
         "groups": [list(g.factors) for g in groups],
     }
-
-    def text():
-        if args.count:
-            print(len(groups))
-            return
-        for g in groups:
-            print(json.dumps(list(g.factors), separators=(",", ":")))
-
-    _emit(args, document, text)
-    return EXIT_OK
+    lines = [str(len(groups))] if args.count else [_factors_label(g) for g in groups]
+    return EXIT_OK, document, lines
 
 
 def cmd_roundtrip(args):
     if args.order < 1 or args.order > DEFAULT_ORDER_CAP:
-        print(f"error: order must be in 1..{DEFAULT_ORDER_CAP}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Refusal(EXIT_INPUT, f"error: order must be in 1..{DEFAULT_ORDER_CAP}")
     if args.trials < 1:
-        print("error: need at least one trial", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Refusal(EXIT_INPUT, "error: need at least one trial")
     if args.denominator < 1:
-        print("error: denominator must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Refusal(EXIT_INPUT, "error: denominator must be at least 1")
     # a draw's common denominator divides its numerator total, at most
     # order * denominator, so below the bound no draw can exceed it
     if args.order * args.denominator >= 10**MAX_OPERAND_DIGITS:
-        print(f"error: order times denominator must be below 10**{MAX_OPERAND_DIGITS}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Refusal(EXIT_INPUT, f"error: order times denominator must be below 10**{MAX_OPERAND_DIGITS}")
     rng = random.Random(args.seed)
-    groups = enumerate_abelian_groups(args.order)
     summaries = []
+    lines = []
     failures = 0
-    for factors in groups:
+    for factors in enumerate_abelian_groups(args.order):
         table = cayley_table(factors)
         passed = failed = skipped = 0
         for _ in range(args.trials):
@@ -333,7 +301,19 @@ def cmd_roundtrip(args):
             else:
                 failed += 1
         failures += failed
-        summaries.append((factors, passed, failed, skipped))
+        summaries.append(
+            {
+                "invariant_factors": list(factors.factors),
+                "passed": passed,
+                "failed": failed,
+                "skipped_degenerate": skipped,
+            }
+        )
+        line = f"{_factors_label(factors)}: {passed} passed, {failed} failed"
+        if skipped:
+            line += f", {skipped} skipped as degenerate"
+        lines.append(line)
+    lines.append("all round trips exact" if failures == 0 else f"{failures} round trips failed")
 
     document = {
         "schema": SCHEMA,
@@ -342,29 +322,10 @@ def cmd_roundtrip(args):
         "trials": args.trials,
         "seed": args.seed,
         "denominator": args.denominator,
-        "groups": [
-            {
-                "invariant_factors": list(f.factors),
-                "passed": p,
-                "failed": x,
-                "skipped_degenerate": s,
-            }
-            for f, p, x, s in summaries
-        ],
+        "groups": summaries,
         "all_passed": failures == 0,
     }
-
-    def text():
-        for factors, passed, failed, skipped in summaries:
-            label = json.dumps(list(factors.factors), separators=(",", ":"))
-            line = f"{label}: {passed} passed, {failed} failed"
-            if skipped:
-                line += f", {skipped} skipped as degenerate"
-            print(line)
-        print("all round trips exact" if failures == 0 else f"{failures} round trips failed")
-
-    _emit(args, document, text)
-    return EXIT_OK if failures == 0 else EXIT_FAILS
+    return (EXIT_OK if failures == 0 else EXIT_FAILS), document, lines
 
 
 @functools.cache  # built once, on the first main call
@@ -437,13 +398,20 @@ def main(argv=None) -> int:
     except SystemExit as exit_:
         return EXIT_INPUT if exit_.code else EXIT_OK
     try:
-        return args.func(args)
+        code, document, lines = args.func(args)
+        if args.format == "json":
+            sys.stdout.write(serialize(document))
+        else:
+            print("\n".join(lines))
+        return code
+    except _Refusal as refusal:
+        code, line = refusal.args
     except (FormatError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        code, line = EXIT_INPUT, f"error: {err}"
     except ValidationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAILS
+        code, line = EXIT_FAILS, f"error: {err}"
+    print(line, file=sys.stderr)
+    return code
 
 
 def app():  # entry point of the hgforge script and of python -m hgforge

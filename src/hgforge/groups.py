@@ -56,8 +56,6 @@ class InvariantFactors:
 
 def _partitions(total):
     """All descending partitions of `total`, in descending lex order."""
-    if total == 0:
-        return [()]
     result = []
 
     def extend(prefix, remaining, cap):

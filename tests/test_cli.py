@@ -1,16 +1,19 @@
 import argparse
+import ast
 import gc
 import json
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgforge import InvariantFactors, cayley_table, derive_cube, validate_measure
+import hgforge.cli
 from hgforge.cli import main
 from hgforge.formats import cube_to_document, group_to_document, measure_to_document, write_document
 from hgforge.sampling import random_measure
@@ -222,6 +225,15 @@ class TestDerive:
         write_document(measure, {"n": 3, "values": ["1/3", "1/3", "1/3"]})
         assert run_cli("derive", z2_files["group"], measure, "--out", tmp_path / "c.json") == 2
 
+    def test_measure_not_summing_to_one_exit_one(self, z2_files, tmp_path, capsys):
+        measure = tmp_path / "m.json"
+        write_document(measure, {"n": 2, "values": ["1/2", "2/5"]})
+        assert run_cli("derive", z2_files["group"], measure, "--out", tmp_path / "c.json") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sum-not-one: sums to 9/10\n"
+        assert not (tmp_path / "c.json").exists()
+
 
 class TestRecover:
     def test_fixture(self, z2_files, tmp_path, capsys):
@@ -353,12 +365,20 @@ class TestRoundtrip:
         assert run_cli("roundtrip", "--order", "0") == 2
         assert run_cli("roundtrip", "--order", "512") == 2
 
-    @pytest.mark.parametrize("denominator", ["0", "-3"])
-    def test_bad_denominator(self, capsys, denominator):
-        assert run_cli("roundtrip", "--order", "2", "--denominator", denominator) == 2
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--denominator", "0", "denominator must be at least 1"),
+            ("--denominator", "-3", "denominator must be at least 1"),
+            ("--trials", "0", "need at least one trial"),
+        ],
+        ids=["denominator-0", "denominator--3", "trials-0"],
+    )
+    def test_count_below_one(self, capsys, option, value, message):
+        assert run_cli("roundtrip", "--order", "2", option, value) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: denominator must be at least 1\n"
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "order, denominator",
@@ -457,6 +477,27 @@ class TestParserReuse:
             gc.set_debug(flags)
             gc.garbage.clear()
         assert parsers == []
+
+
+def test_only_main_writes_output():
+    # commands return their exit code, document and lines, or raise a
+    # refusal; main alone decides what goes to stdout and stderr
+    tree = ast.parse(Path(hgforge.cli.__file__).read_text())
+    main_def = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    inside_main = {id(node) for node in ast.walk(main_def)}
+    writers = [
+        node
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "print")
+        or (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "sys"
+            and node.attr in ("stdout", "stderr")
+        )
+    ]
+    assert writers
+    assert [node.lineno for node in writers if id(node) not in inside_main] == []
 
 
 class TestByteDeterminism:

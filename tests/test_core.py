@@ -120,6 +120,21 @@ class TestValidateCube:
         with pytest.raises(ValidationError):
             validate_cube([])
 
+    @pytest.mark.parametrize(
+        "raw, indices, detail",
+        [
+            (5, (), "cube must be a nested sequence"),
+            ([[[1, 0], [0, 1]], [[0, 1], [1]]], (2, 2), "expected 2 entries, found 1"),
+        ],
+        ids=["not-a-sequence", "short-column"],
+    )
+    def test_shape_mismatch(self, raw, indices, detail):
+        with pytest.raises(ValidationError) as exc:
+            validate_cube(raw)
+        assert [(v.kind, v.indices, v.detail) for v in exc.value.violations] == [
+            ("shape-mismatch", indices, detail)
+        ]
+
     def test_single_state(self):
         cube = validate_cube([[[1]]])
         assert cube.n == 1
@@ -159,6 +174,13 @@ class TestValidateMeasure:
         with pytest.raises(ValidationError) as exc:
             validate_measure(["-1/4", "5/4"])
         assert ("negative-entry", (1,)) in {(v.kind, v.indices) for v in exc.value.violations}
+
+    def test_empty(self):
+        with pytest.raises(ValidationError) as exc:
+            validate_measure([])
+        assert [(v.kind, v.indices, v.detail) for v in exc.value.violations] == [
+            ("shape-mismatch", (), "need at least one state")
+        ]
 
     def test_point_mass(self):
         m = validate_measure([0, 1, 0])

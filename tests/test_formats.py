@@ -369,6 +369,21 @@ class TestGroupDocuments:
         with pytest.raises(FormatError, match=re.escape(message)):
             parse_group_document({"cayley_table": table})
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"invariant_factors": [2.0]}, "invariant_factors[0]: expected an integer"),
+            ({"cayley_table": [[1, True], [2, 1]]}, "cayley_table[0][1]: expected an integer state label"),
+        ],
+        ids=["float-factor", "bool-label"],
+    )
+    def test_non_integer_group_data_refused(self, tmp_path, doc, message):
+        path = tmp_path / "group.json"
+        write_document(path, doc)
+        with pytest.raises(FormatError) as err:
+            load_group(path)
+        assert str(err.value) == f"{path}: {message}"
+
     def test_order_above_the_cap_refused_before_building(self, monkeypatch):
         import hgforge.formats as formats
 
