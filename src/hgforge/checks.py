@@ -15,7 +15,8 @@ by D**2 on both sides.  Every entry of such a side lies in [0, D**2], so
 the matrix route and product-columns pack each row or column of a side
 into one int, w = (D*D).bit_length() bits a slot, with no carry between
 slots (Kronecker substitution; see _matrix_violations); the brute-force
-route stays unpacked, as the independent check of the slot width.
+route stays unpacked, as the independent check of the slot width, and
+expands over each column's nonzero (index, value) pairs only.
 Witnesses are turned back into the exact rationals they stand for, and
 only for a witness that is kept.
 """
@@ -104,31 +105,27 @@ def is_associative_bruteforce(cube: StructureCube, witness_cap=DEFAULT_WITNESS_C
 
     For every (i, j, m), the column of (i*j)*m must equal the column of
     i*(j*m); both sides are expanded through the cube with no matrix
-    algebra involved.
+    algebra involved.  Each expansion runs over the nonzero (index,
+    value) pairs of the columns it reads, listed once per call, so a
+    zero entry costs nothing.
     """
     n, planes = cube.n, cube.planes
     scale = cube.denominator**2
+    support = [[[(p, x) for p, x in enumerate(col) if x] for col in plane] for plane in planes]
     found = _Collector(witness_cap)
     for i in range(n):
-        plane_i = planes[i]
+        support_i = support[i]
         for j in range(n):
-            coeff_ij = [(k, q) for k, q in enumerate(plane_i[j]) if q]
-            plane_j = planes[j]
+            support_ij, support_j = support_i[j], support[j]
             for m in range(n):
                 lhs = [0] * n
-                for k, q in coeff_ij:
-                    col = planes[k][m]
-                    for p in range(n):
-                        if col[p]:
-                            lhs[p] = lhs[p] + q * col[p]
+                for k, q in support_ij:
+                    for p, x in support[k][m]:
+                        lhs[p] += q * x
                 rhs = [0] * n
-                for q_idx, q in enumerate(plane_j[m]):
-                    if not q:
-                        continue
-                    col = plane_i[q_idx]
-                    for p in range(n):
-                        if col[p]:
-                            rhs[p] = rhs[p] + q * col[p]
+                for k, q in support_j[m]:
+                    for p, x in support_i[k]:
+                        rhs[p] += q * x
                 if lhs != rhs:
                     found.add_scaled((i + 1, j + 1, m + 1), lhs, rhs, scale)
     return found.report("associative-bruteforce")
@@ -225,18 +222,23 @@ def satisfies_condition_A(cube: StructureCube) -> ConditionAReport:
     The ranks are taken straight off the cube: plane i, read as rows, is
     the transpose of the left action of state i, and the columns (j, i)
     over j, read as rows, the transpose of its right action.  A transpose
-    has the same rank.  Where those rows are plane i itself (column (j, i)
-    equals column (i, j) for every j, as on any commutative cube), the
-    right rank is the left rank and is not computed again.
+    has the same rank.  A rank depends only on the set of distinct rows,
+    since neither their order nor a repeated row changes the row space,
+    so each distinct row set, left or right, is ranked once.  On a
+    derived cube every such set is the n translates of the measure, and
+    the whole check costs one rank.
     """
     n, planes = cube.n, cube.planes
     distinct = len({col for plane in planes for col in plane})
-    left_ranks = tuple(rational_rank(plane) for plane in planes)
-    right_ranks = tuple(
-        rank if rows == plane else rational_rank(rows)
-        for plane, rank, rows in zip(planes, left_ranks, zip(*planes))
-    )
-    return ConditionAReport(n, distinct, left_ranks, right_ranks)
+    ranks = {}
+
+    def rank(rows):
+        key = frozenset(rows)
+        if key not in ranks:
+            ranks[key] = rational_rank(rows)
+        return ranks[key]
+
+    return ConditionAReport(n, distinct, tuple(map(rank, planes)), tuple(map(rank, zip(*planes))))
 
 
 def check_corollaries(cube: StructureCube, witness_cap=DEFAULT_WITNESS_CAP) -> list[PropertyReport]:

@@ -335,13 +335,17 @@ def oracle_associativity(entries):
     cube = _fraction_cube(entries)
 
     def times(x, y):
+        # a zero weight or a zero entry adds nothing to the sum
         out = [Fraction(0)] * n
         for a in range(n):
+            if not x[a]:
+                continue
             for b in range(n):
                 weight = x[a] * y[b]
                 if weight:
-                    for k in range(n):
-                        out[k] += weight * cube[a][b][k]
+                    for k, entry in enumerate(cube[a][b]):
+                        if entry:
+                            out[k] += weight * entry
         return out
 
     def point(state):

@@ -24,7 +24,7 @@ from hgforge import (
 )
 from hgforge import checks
 from hgforge.core import MAX_OPERAND_DIGITS
-from test_recovery import gates_only
+from test_recovery import _s3_rows, gates_only
 from oracles import (
     cofactor_det,
     coset_measure,
@@ -34,6 +34,7 @@ from oracles import (
     matmul,
     oracle_associativity,
     oracle_commutativity,
+    oracle_derive,
     oracle_distinct_columns,
     oracle_multiset_corollaries,
     oracle_violations,
@@ -170,6 +171,16 @@ def _dyadic_cube(rng, n, bits, cells):
     return validate_cube(entries)
 
 
+def _support_three_cube(rng, n):
+    """A derived cube whose measure weighs the identity and two other
+    states, as in random walks: every column has three nonzero entries."""
+    states = [0, *rng.sample(range(1, n), 2)]
+    weights = {s: rng.randint(1, 10**6) for s in states}
+    total = sum(weights.values())
+    measure = [rat(weights.get(s, 0), total) for s in range(n)]
+    return derive_cube(cayley_table(rng.choice(enumerate_abelian_groups(n))), measure)
+
+
 def _printed_values(text):
     """The values one side of a witness prints: the entry of a matrix
     witness, or every entry of a vector."""
@@ -195,7 +206,7 @@ class TestCrossOracle:
     def test_integer_scans_match_fraction_oracle_witness_for_witness(self):
         rng = random.Random(4711)
         primes = (7919, 7927, 7933, 7937)
-        perturbed = 0
+        cubes, perturbed = [], 0
         for trial in range(30):
             n = rng.randint(2, 6)
             factors = rng.choice(enumerate_abelian_groups(n))
@@ -205,19 +216,37 @@ class TestCrossOracle:
                 denominators = [q.denominator for plane in cube.entries for col in plane for q in col]
                 assert math.lcm(*denominators) > max(denominators)
                 perturbed += 1
-            expected = oracle_associativity(cube.entries)
-            reports = [
-                is_associative_bruteforce(cube, witness_cap=10**6),
-                is_associative_matrix(cube, witness_cap=10**6),
-                check_corollaries(cube, witness_cap=10**6)[3],
-            ]
-            for report in reports:
-                count, witnesses = expected[report.name]
-                assert report.holds == (count == 0), (trial, report.name)
-                assert report.violation_count == count, (trial, report.name)
-                got = [(w.indices, w.expected, w.actual) for w in report.witnesses]
-                assert got == witnesses, (trial, report.name)
+            cubes.append(cube)
         assert perturbed == 20
+        # sparse: most entries zero, so the brute-force route skips most
+        # of each column; derived, perturbed both ways, and one cube that
+        # does not commute
+        for n in range(8, 13):
+            cube = _support_three_cube(rng, n)
+            cubes.append(cube)
+            for symmetric in (True, False):
+                cubes.append(validate_cube(perturbed_entries(cube.entries, rng, symmetric)))
+        s3 = validate_cube(oracle_derive(_s3_rows(), [rat(3, 6), 0, rat(2, 6), 0, rat(1, 6), 0]))
+        assert not is_commutative(s3).holds
+        cubes.append(s3)
+        truncated = []
+        for index, cube in enumerate(cubes):
+            expected = oracle_associativity(cube.entries)
+            truncated.append(expected["associative-bruteforce"][0] > 3)
+            for cap in (1, 3, 10**6):
+                reports = [
+                    is_associative_bruteforce(cube, witness_cap=cap),
+                    is_associative_matrix(cube, witness_cap=cap),
+                    check_corollaries(cube, witness_cap=cap)[3],
+                ]
+                for report in reports:
+                    count, witnesses = expected[report.name]
+                    assert report.holds == (count == 0), (index, cap, report.name)
+                    assert report.violation_count == count, (index, cap, report.name)
+                    got = [(w.indices, w.expected, w.actual) for w in report.witnesses]
+                    assert got == witnesses[:cap], (index, cap, report.name)
+        # caps 1 and 3 cut the witness lists of every perturbed sparse cube
+        assert truncated[30:] == [False, True, True] * 5 + [True]
 
     def test_first_matrix_witness_and_gate_on_orders_up_to_8(self):
         # the cubes the recover gate scans to the end, associative ones
@@ -249,7 +278,9 @@ class TestCrossOracle:
         assert {"not-associative", "fails-condition-a"} <= reasons
 
     def test_brute_force_route_shares_no_packing(self, z3_cube, nonassoc_cube, monkeypatch):
-        cubes = [z3_cube, nonassoc_cube, _dyadic_cube(random.Random(5), 4, 2, 2)]
+        rng = random.Random(8)
+        sparse = validate_cube(perturbed_entries(_support_three_cube(rng, 8).entries, rng, symmetric=False))
+        cubes = [z3_cube, nonassoc_cube, _dyadic_cube(random.Random(5), 4, 2, 2), sparse]
         expected = [is_associative_bruteforce(cube) for cube in cubes]
 
         def refuse(*args):
@@ -462,19 +493,25 @@ class TestConditionA:
         assert verdicts == {True, False}
 
     def test_a_right_rank_equal_to_its_left_one_is_not_recomputed(self, monkeypatch):
-        # right ranks reuse a left rank exactly where column (i, j) equals
-        # column (j, i) for every j
+        # one rank per distinct set of rows, left and right alike: row
+        # order and repeated rows leave the row space as it is
         a, b, c, half = (1, 0, 0), (0, 1, 0), (0, 0, 1), ("1/2", "1/2", 0)
         z3 = cayley_table(InvariantFactors((3,)))
         partly = validate_cube([[a, b, c], [b, c, c], [c, a, half]])
         counts = [
-            # commutative: n ranks
-            (derive_cube(z3, ["1/2", "1/3", "1/6"]), 3),
-            # plane 1 equals its right rows, planes 2 and 3 do not
-            (partly, 5),
-            # no plane equals its right rows: 2n ranks
-            (validate_cube([[(1, 0), (1, 0)], [(0, 1), (0, 1)]]), 4),
-            (validate_cube([[a, a, a], [b, b, b], [c, c, c]]), 6),
+            # derived: every row set is the n translates of the measure
+            (derive_cube(z3, ["1/2", "1/3", "1/6"]), 1),
+            # left {a, b, c}, {b, c}, {a, c, half}; right {a, b, c}, {c, half}
+            (partly, 4),
+            # left {(1, 0)} and {(0, 1)}; both right row sets are {(1, 0), (0, 1)}
+            (validate_cube([[(1, 0), (1, 0)], [(0, 1), (0, 1)]]), 3),
+            # left {a}, {b}, {c}; every right row set is {a, b, c}
+            (validate_cube([[a, a, a], [b, b, b], [c, c, c]]), 4),
+            # planes 1 and 2 hold {a, b} with different multiplicities;
+            # right {a, c}, {a, b, c}, {b, c}
+            (validate_cube([[a, a, b], [a, b, b], [c, c, c]]), 5),
+            # derived, of order 16
+            (derive_cube(cayley_table(InvariantFactors((2, 8))), random_measure(random.Random(16), 16)), 1),
         ]
         expected = [satisfies_condition_A(cube) for cube, _ in counts]
         calls, rank = [], checks.rational_rank
