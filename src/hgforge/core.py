@@ -266,6 +266,16 @@ class MeasureVector:
     values: tuple
 
 
+def _check_length(part, n, indices, unit):
+    """Raise the shape-mismatch at indices unless part is a sequence of n items."""
+    try:
+        found = len(part)
+    except TypeError:
+        found = type(part).__name__
+    if found != n:
+        raise ValidationError([Violation("shape-mismatch", indices, f"expected {n} {unit}, found {found}")])
+
+
 def validate_cube(raw) -> StructureCube:
     """Check shape, nonnegativity, and column sums; return the cube.
 
@@ -283,15 +293,9 @@ def validate_cube(raw) -> StructureCube:
         raise ValidationError([Violation("shape-mismatch", (), "need at least one state")])
     values = []
     for i, plane in enumerate(raw):
-        if len(plane) != n:
-            raise ValidationError(
-                [Violation("shape-mismatch", (i + 1,), f"expected {n} columns, found {len(plane)}")]
-            )
+        _check_length(plane, n, (i + 1,), "columns")
         for j, col in enumerate(plane):
-            if len(col) != n:
-                raise ValidationError(
-                    [Violation("shape-mismatch", (i + 1, j + 1), f"expected {n} entries, found {len(col)}")]
-                )
+            _check_length(col, n, (i + 1, j + 1), "entries")
             values += [x if type(x) is int else rat(x) for x in col]
     common, ints = scale_to_integers(values)
     columns = [tuple(ints[start:start + n]) for start in range(0, n**3, n)]

@@ -1,12 +1,12 @@
 """Recovering the unique (group, measure) pair behind a derivable cube.
 
-recover runs one fixed sequence of gates on a valid cube.  It reads a
-candidate pair off first, in O(n^3): match every product column against
-the columns of state 1's left action (which must be n distinct
-columns), build the Cayley table that matching names (CayleyTable
-checks the group axioms, commutativity included), take the product
-column of (1, 1) as the measure, re-derive the cube from that pair and
-compare it with the input entry for entry.
+recover runs one fixed sequence on a valid cube.  It first reads a
+candidate pair off, once and in O(n^3): match every product column
+against the columns of state 1's left action, build the Cayley table
+that matching names (CayleyTable checks the group axioms, commutativity
+included, and refuses a plane 1 that repeats a column, since row 1 then
+repeats a label), take the product column of (1, 1) as the measure,
+re-derive the cube from that pair and compare it with the input.
 
 A cube the read-off certifies is derived from an abelian group, so it is
 commutative and associative, and each of its columns is one of plane
@@ -14,10 +14,10 @@ commutative and associative, and each of its columns is one of plane
 every left and right action of a derived cube is G_i M, so the rank of
 plane 1 settles condition (A) without running the O(n^5) associativity
 scan.  Any other cube runs the commutativity, associativity (matrix
-route) and condition (A) gates; a cube that passes them all has n
-distinct columns in plane 1, and its answer is the read-off's.  Every
-reason, witness and detail is the one the gates alone would give.  All
-steps decide on the cube's integer planes (see core.StructureCube).
+route) and condition (A) gates, and a cube that passes them all gets the
+read-off's rejection.  Every reason, witness and detail is the one the
+gates alone would give.  All steps decide on the cube's integer planes
+(see core.StructureCube).
 
 A successful result is never taken on faith: the candidate pair is fed
 back through the forward construction and the rebuilt cube must equal
@@ -36,7 +36,6 @@ from .core import (
     rat,
     rational_rank,
     validate_cube,
-    validate_measure,
 )
 from .checks import (
     ConditionAReport,
@@ -130,52 +129,40 @@ def _certified_result(cube: StructureCube, table: CayleyTable, measure: MeasureV
     return RecoveryResult(table, measure, canonical_form(table))
 
 
-def _match_columns(cube: StructureCube):
-    """Read a table off the cube by matching columns against plane 1.
+def _read_off(cube: StructureCube) -> RecoveryResult:
+    """Column matching, the group axioms and certification, in that order.
 
-    Returns (rows, None), where rows[i][j] is the state k whose column
-    (1, k) equals column (i + 1, j + 1), or (None, (i, j)) naming the
-    first column that matches none.  Plane 1's columns must be distinct.
+    rows[i][j] is the state k whose column (1, k) equals column (i + 1,
+    j + 1).  validate_cube has proved column (1, 1) a probability vector,
+    so the measure is built from it without validating it again.  Returns
+    the certified result, or the rejection of the first step that fails.
     """
     state_of_column = {column: k + 1 for k, column in enumerate(cube.planes[0])}
     rows = []
     for i, plane in enumerate(cube.planes):
         row = tuple(state_of_column.get(column) for column in plane)
         if None in row:
-            return None, (i, row.index(None))
+            j = row.index(None)
+            return _rejection(
+                COLUMN_MATCH_FAILURE,
+                Witness((i + 1, j + 1), "a column of state 1's plane", "an unmatched column"),
+                f"column ({i + 1}, {j + 1}) matches no column of state 1",
+            )
         rows.append(row)
-    return tuple(rows), None
-
-
-def _read_off(cube: StructureCube) -> RecoveryResult:
-    """Column matching, the group axioms and certification, in that order.
-
-    Returns the certified result, or the rejection of the first of these
-    steps that fails.
-    """
-    rows, unmatched = _match_columns(cube)
-    if unmatched is not None:
-        i, j = unmatched
-        return _rejection(
-            COLUMN_MATCH_FAILURE,
-            Witness((i + 1, j + 1), "a column of state 1's plane", "an unmatched column"),
-            f"column ({i + 1}, {j + 1}) matches no column of state 1",
-        )
     try:
         table = CayleyTable(cube.n, rows)
     except InvalidTable as err:
         return _rejection(GROUP_AXIOM_FAILURE, detail=str(err))
-    return _certified_result(cube, table, validate_measure(cube.column(1, 1)))
+    return _certified_result(cube, table, MeasureVector(cube.n, cube.column(1, 1)))
 
 
 def recover(cube) -> RecoveryResult:
     """Decide whether the cube is derived and, if so, from what.
 
-    One sequence of gates; the first that fails names the rejection:
+    One sequence; the first step that fails names the rejection:
       validation        fails-validation
       read-off          none yet: column matching, group axioms and
-                        certification, O(n^3), run once and only when
-                        plane 1 has n distinct columns
+                        certification, O(n^3), run once on every valid cube
       commutativity     not-commutative       (met by a certified cube)
       associativity     not-associative       (met by a certified cube)
       condition (A)     fails-condition-a     (a certified cube: the rank
@@ -183,17 +170,18 @@ def recover(cube) -> RecoveryResult:
       column matching   column-match-failure  (the read-off's result)
       group axioms      group-axiom-failure
       certification     round-trip-mismatch
-    A rejection reports only the first witness of its check: the checks
+    Only a cube the read-off does not certify runs the three gates.  A
+    rejection reports only the first witness of its check: the checks
     keep one, and the associativity gate stops at its first violation.
     """
     try:
         cube = validate_cube(cube)
     except ValidationError as err:
         return validation_rejection(err)
-    n, planes = cube.n, cube.planes
-    result = _read_off(cube) if len(set(planes[0])) == n else None
-    if result is not None and result.recovered:
-        ranks = (rational_rank(planes[0]),) * n
+    n = cube.n
+    result = _read_off(cube)
+    if result.recovered:
+        ranks = (rational_rank(cube.planes[0]),) * n
         condition = ConditionAReport(n, n, ranks, ranks)
     else:
         commutative = is_commutative(cube, 1)
@@ -211,7 +199,6 @@ def recover(cube) -> RecoveryResult:
                 f"left ranks {list(condition.left_ranks)}, right ranks {list(condition.right_ranks)}"
             ),
         )
-    # plane 1 has full rank, so its columns are distinct and the read-off ran
     return result
 
 

@@ -19,10 +19,13 @@ def random_measure(rng, n, denominator=DEFAULT_DENOMINATOR, positive=False) -> M
 
     positive=True keeps every state's weight nonzero by drawing from
     1..denominator instead.  All-zero draws are redrawn; a denominator
-    below 1 raises ValueError, since it allows no other draw.
+    below 1 raises ValueError, since it allows no other draw, and so does
+    an n below 1, which allows no draw at all.
     """
     if denominator < 1:
         raise ValueError(f"denominator must be at least 1, got {denominator}")
+    if n < 1:
+        raise ValueError(f"need at least one state, got {n}")
     low = 1 if positive else 0
     while True:
         numerators = [rng.randint(low, denominator) for _ in range(n)]

@@ -402,6 +402,23 @@ class TestRoundtrip:
         with pytest.raises(ValueError, match="denominator must be at least 1"):
             random_measure(random.Random(0), 2, denominator)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_random_measure_refuses_no_states(self, n, child_env):
+        # with no state to draw, the redraw loop would never end: run it in
+        # a child so that a regression times out instead of hanging
+        code = (
+            "import random\n"
+            "from hgforge.sampling import random_measure\n"
+            "try:\n"
+            f"    random_measure(random.Random(1), {n})\n"
+            "except ValueError as err:\n"
+            "    print(err)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env("0"), timeout=60
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"need at least one state, got {n}\n", "")
+
     def test_degenerate_draws_are_redrawn(self, capsys):
         # n=2 with denominator 1 draws the uniform measure about a third
         # of the time; without --include-degenerate each one is redrawn

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import hgforge
 from hgforge import (
     InvariantFactors,
     OperandBoundError,
@@ -18,7 +19,7 @@ from hgforge import (
     validate_cube,
     validate_measure,
 )
-from hgforge.core import MAX_OPERAND_DIGITS, rational_rank, scale_to_integers
+from hgforge.core import MAX_OPERAND_DIGITS, MatrixShapeError, rational_rank, scale_to_integers
 from oracles import (
     assert_canonical_kernel,
     cofactor_det,
@@ -125,8 +126,10 @@ class TestValidateCube:
         [
             (5, (), "cube must be a nested sequence"),
             ([[[1, 0], [0, 1]], [[0, 1], [1]]], (2, 2), "expected 2 entries, found 1"),
+            ([1], (1,), "expected 1 columns, found int"),
+            ([[1]], (1, 1), "expected 1 entries, found int"),
         ],
-        ids=["not-a-sequence", "short-column"],
+        ids=["not-a-sequence", "short-column", "plane-not-a-sequence", "column-not-a-sequence"],
     )
     def test_shape_mismatch(self, raw, indices, detail):
         with pytest.raises(ValidationError) as exc:
@@ -368,6 +371,20 @@ class TestRationalMatrix:
         assert tall.rank() == 1
         assert rational_rank([[Fraction(1, 2), Fraction(1)], [Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]) == 2
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ((), "matrix must have at least one row and column"),
+            (((),), "matrix must have at least one row and column"),
+            (((1, 2), (3,)), "matrix rows have unequal lengths"),
+        ],
+        ids=["no-rows", "empty-row", "ragged"],
+    )
+    def test_shape_refused(self, entries, message):
+        with pytest.raises(MatrixShapeError) as exc:
+            RationalMatrix(entries)
+        assert str(exc.value) == message
+
     def test_big_denominators_stay_exact(self):
         big = 10**12
         rows = [[Fraction(1, big), Fraction(1, big + 1)], [Fraction(1, big + 2), Fraction(1, big + 3)]]
@@ -451,3 +468,26 @@ def test_oracles_import_nothing_from_hgforge():
             imported.append(node.module or "")
     assert imported
     assert not [name for name in imported if name.split(".")[0] == "hgforge"], imported
+
+
+def test_cube_and_measure_constructors_are_called_at_known_sites():
+    # outside core, cubes and measures come from validate_cube and
+    # validate_measure, except at these sites, which build one unvalidated
+    # from data they have already proved valid
+    package = Path(hgforge.__file__).parent
+    sites = set()
+
+    def visit(node, module, owner):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("StructureCube", "MeasureVector"):
+                sites.add((module, owner, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in sorted(package.glob("*.py")):
+        if path.stem != "core":
+            visit(ast.parse(path.read_text()), path.stem, None)
+    assert sites == {("derivation", "derive_cube", "StructureCube"), ("recovery", "_read_off", "MeasureVector")}

@@ -108,6 +108,7 @@ class TestRecover:
     def test_invalid_raw_input_rejected(self):
         result = recover([[["1/2", "1/3"], [0, 1]], [[0, 1], [1, 0]]])
         assert result.reason == "fails-validation"
+        assert recover([1]).reason == "fails-validation"
 
     def test_uniform_cube_rejected(self, z2_table):
         cube = derive_cube(z2_table, validate_measure(["1/2", "1/2"]))
@@ -442,6 +443,9 @@ class TestCertifyFirst:
             assert result == gates_only(cube)
             if result.reason in first_witness:
                 assert result.witness == first_witness[result.reason](cube, cap).witnesses[0]
+            if result.recovered:
+                # the measure read off column (1, 1) is built unvalidated
+                assert validate_measure(result.measure.values) == result.measure
             reasons.add(result.reason)
         assert {None, "not-commutative", "not-associative", "fails-condition-a"} <= reasons
 
@@ -488,31 +492,32 @@ class TestCertifyFirst:
     def test_certificate_report_equals_condition_a(self, monkeypatch):
         # a certified cube's condition (A) comes from the rank of plane 1
         # alone; its detail names the report the scan would give
-        certified = [
-            cube
-            for cube in _agreement_cubes()
-            if len(set(cube.planes[0])) == cube.n and recovery._read_off(cube).recovered
-        ]
+        certified = [cube for cube in _agreement_cubes() if recovery._read_off(cube).recovered]
         expected = [gates_only(cube) for cube in certified]
         assert {result.reason for result in expected} == {None, "fails-condition-a"}
         _refuse_gates(monkeypatch)
         assert [recover(cube) for cube in certified] == expected
 
-    def test_the_read_off_runs_at_most_once(self, monkeypatch):
+    def test_the_read_off_runs_exactly_once(self, monkeypatch):
         z4 = cayley_table(InvariantFactors((4,)))
         full_rank = derive_cube(z4, ["1/2", "1/5", "1/5", "1/10"])
         coset = derive_cube(z4, coset_measure(random.Random(4406), z4.rows, 3))
+        # plane 1 repeats a column, so the read-off fails at the group axioms
         assert len(set(coset.planes[0])) < coset.n
+        assert recovery._read_off(coset).reason == "group-axiom-failure"
         read_offs = _counting(monkeypatch, "_read_off")
         assert recover(full_rank).recovered
         assert read_offs == [full_rank]
         read_offs.clear()
         assert recover(coset).reason == "fails-condition-a"
-        assert read_offs == []
+        assert read_offs == [coset]
         for cube in _agreement_cubes():
             read_offs.clear()
             recover(cube)
-            assert len(read_offs) <= 1
+            assert read_offs == [cube]
+        read_offs.clear()
+        assert recover([[["1/2", "1/3"], [0, 1]], [[0, 1], [1, 0]]]).reason == "fails-validation"
+        assert read_offs == []
 
     def test_a_read_off_rejection_comes_after_the_gates(self, monkeypatch):
         # a full-rank derived cube passes every gate, so the rejection of
