@@ -13,8 +13,11 @@ A cube holds its entries once, as Python ints over one common
 denominator D (see StructureCube), and every predicate decides on those
 ints: column equality and multisets on int tuples, associativity on
 identities that scale by D**2.  Only scale_to_integers computes and
-bounds D, and validate_cube and derive_cube build every cube through it;
-an int scalar is used as it is, never wrapped.  fractions.Fraction, the
+bounds D, and derive_cube and _cube_from_columns, which validate_cube
+and the cube loader share, build every cube through it; an int scalar
+is used as it is, never wrapped.  The loading pass converts, scales and
+checks each distinct column once, and equal columns share one tuple, so
+a derived cube holds n column objects, not n**2.  fractions.Fraction, the
 package's only rational type, appears at the boundary only: parsing,
 measures, report text, documents, and StructureCube.entries and column().
 Ranks and kernel vectors both come from one fraction-free (Bareiss)
@@ -236,7 +239,7 @@ class StructureCube:
     determined by the entries.  Build instances with validate_cube or
     derive_cube, which establish all of this (through scale_to_integers,
     raising OperandBoundError past the bound); the constructor checks
-    nothing.
+    nothing.  Equal columns of a validated cube are one shared tuple.
     """
 
     n: int
@@ -267,21 +270,92 @@ class MeasureVector:
 
 
 def _check_length(part, n, indices, unit):
-    """Raise the shape-mismatch at indices unless part is a sequence of n items."""
-    try:
-        found = len(part)
-    except TypeError:
+    """Raise the shape-mismatch at indices unless part is a sequence of n
+    items; a str or bytes is refused by its type, not read as characters."""
+    if isinstance(part, (str, bytes)):
         found = type(part).__name__
+    else:
+        try:
+            found = len(part)
+        except TypeError:
+            found = type(part).__name__
     if found != n:
         raise ValidationError([Violation("shape-mismatch", indices, f"expected {n} {unit}, found {found}")])
+
+
+def _cube_from_columns(n, columns, convert) -> StructureCube:
+    """The cube whose n*n raw columns the iterable columns yields in scan
+    order, (1, 1), (1, 2), ..., each a sequence of n entries.
+
+    A column whose entries are all exactly int or str is keyed by their
+    tuple and converted once, at its first sighting, by convert(column, i,
+    j) (0-based) into ints and Fractions; any other column is converted
+    wherever it stands, so that an entry equal to an int but of another
+    type (True == 1, 1.0 == 1) meets convert at its own location.  D is
+    computed and bounded over the distinct columns (scale_to_integers), and
+    signs and sums are checked once per distinct column; each violation is
+    reported at every (i, j) that holds the column, in scan order.  Equal
+    int columns share one tuple.
+    """
+    first = {}
+    distinct = []
+    layout = []
+    for position, column in enumerate(columns):
+        key = tuple(column)
+        if not {int, str}.issuperset(map(type, key)):
+            key = position  # converted where it stands
+        index = first.get(key)
+        if index is None:
+            index = first[key] = len(distinct)
+            distinct.append(convert(column, *divmod(position, n)))
+        layout.append(index)
+    common, ints = scale_to_integers([x for column in distinct for x in column])
+
+    shared = {}
+    int_columns = []
+    faults = []
+    for start in range(0, len(ints), n):
+        column = tuple(ints[start:start + n])
+        int_columns.append(shared.setdefault(column, column))
+        found = []
+        if min(column) < 0:
+            found = [((k + 1,), "negative-entry", str(rat(x, common))) for k, x in enumerate(column) if x < 0]
+        if sum(column) != common:
+            found.append(((), "column-sum-not-one", f"sums to {rat(sum(column), common)}"))
+        faults.append(found)
+    if any(faults):
+        raise ValidationError(
+            Violation(kind, (position // n + 1, position % n + 1) + more, detail)
+            for position, index in enumerate(layout)
+            for more, kind, detail in faults[index]
+        )
+    planes = tuple(
+        tuple(int_columns[index] for index in layout[start:start + n]) for start in range(0, n * n, n)
+    )
+    return StructureCube(n, common, planes)
+
+
+def _raw_columns(raw, n):
+    """The columns of a nested sequence in scan order, each checked to be a
+    sequence of n entries as its turn comes."""
+    for i, plane in enumerate(raw):
+        _check_length(plane, n, (i + 1,), "columns")
+        for j, column in enumerate(plane):
+            _check_length(column, n, (i + 1, j + 1), "entries")
+            yield column
 
 
 def validate_cube(raw) -> StructureCube:
     """Check shape, nonnegativity, and column sums; return the cube.
 
     Raises ValidationError carrying every violation found, so an invalid
-    input is reported in full rather than one problem at a time; TypeError
-    for a float or bool entry; OperandBoundError from scale_to_integers.
+    input is reported in full rather than one problem at a time; a str or
+    bytes plane or column is a shape-mismatch, not a sequence of
+    characters.  An entry must be an int, a Fraction or a string that rat
+    reads: rat raises TypeError for None, a float or a bool, ValueError for
+    a string it cannot parse, and ZeroDivisionError for a zero denominator
+    ("1/0").  OperandBoundError comes from scale_to_integers.  Equal
+    columns share one tuple in the cube (see _cube_from_columns).
     """
     if isinstance(raw, StructureCube):
         return raw
@@ -291,29 +365,9 @@ def validate_cube(raw) -> StructureCube:
         raise ValidationError([Violation("shape-mismatch", (), "cube must be a nested sequence")])
     if n < 1:
         raise ValidationError([Violation("shape-mismatch", (), "need at least one state")])
-    values = []
-    for i, plane in enumerate(raw):
-        _check_length(plane, n, (i + 1,), "columns")
-        for j, col in enumerate(plane):
-            _check_length(col, n, (i + 1, j + 1), "entries")
-            values += [x if type(x) is int else rat(x) for x in col]
-    common, ints = scale_to_integers(values)
-    columns = [tuple(ints[start:start + n]) for start in range(0, n**3, n)]
-    planes = tuple(tuple(columns[start:start + n]) for start in range(0, n * n, n))
-
-    violations = []
-    for i, plane in enumerate(planes):
-        for j, col in enumerate(plane):
-            for k, x in enumerate(col):
-                if x < 0:
-                    detail = str(rat(x, common))
-                    violations.append(Violation("negative-entry", (i + 1, j + 1, k + 1), detail))
-            if sum(col) != common:
-                detail = f"sums to {rat(sum(col), common)}"
-                violations.append(Violation("column-sum-not-one", (i + 1, j + 1), detail))
-    if violations:
-        raise ValidationError(violations)
-    return StructureCube(n, common, planes)
+    return _cube_from_columns(
+        n, _raw_columns(raw, n), lambda column, i, j: [x if type(x) is int else rat(x) for x in column]
+    )
 
 
 def validate_measure(raw) -> MeasureVector:

@@ -8,11 +8,16 @@ Three document kinds, all plain JSON:
 
 Scalars are JSON integers or strings: "3/4" (lowest terms on output) or
 a decimal like "0.75", both parsed exactly; a JSON integer in a cube is
-kept as the int itself, and each distinct string of a cube document is
-parsed once, at its first location.  A decimal's exponent may not exceed
-MAX_DECIMAL_EXPONENT in magnitude, so a short string such as "1e-3000000"
-cannot stall parsing; its digits are already bounded by CPython's limit
-on the digits of an integer string.  The entries of a cube, and the
+kept as the int itself.  A cube document is read in one pass over its
+distinct columns: a column of JSON ints and strings is parsed once, at
+its first location, however often it repeats, and each distinct string
+once, at its first location, whatever column holds it; a column holding
+anything else is parsed where it stands, so a bool or a float is refused
+at its own location even where it equals an int column met before.  A
+decimal's exponent may not exceed MAX_DECIMAL_EXPONENT in magnitude, so
+a short string such as "1e-3000000" cannot stall parsing; its digits are
+already bounded by CPython's limit on the digits of an integer string.
+The entries of a cube, and the
 values of a measure, written over their common denominator, must stay
 within MAX_OPERAND_DIGITS: core.scale_to_integers enforces it, and its
 OperandBoundError becomes a FormatError here.  Bare JSON floats are
@@ -34,8 +39,8 @@ import json
 import re
 
 from .core import (  # MAX_OPERAND_DIGITS is re-exported
-    MAX_OPERAND_DIGITS, MeasureVector, OperandBoundError, StructureCube, rat, scale_to_integers,
-    validate_cube, validate_measure,
+    MAX_OPERAND_DIGITS, MeasureVector, OperandBoundError, StructureCube, _cube_from_columns, rat,
+    scale_to_integers, validate_measure,
 )
 from .groups import DEFAULT_ORDER_CAP, CayleyTable, InvalidTable, InvariantFactors, cayley_table
 
@@ -105,26 +110,29 @@ def _require_list(value, length, where):
 def parse_cube_document(doc) -> StructureCube:
     """Cube from a decoded JSON document; shape errors and an order above
     DEFAULT_ORDER_CAP are FormatError, constraint violations surface as
-    ValidationError from validate_cube."""
+    ValidationError, as validate_cube raises them: both build the cube
+    through core._cube_from_columns."""
     _require_object(doc, "cube")
     n = _require_n(doc, "cube")
     if n > DEFAULT_ORDER_CAP:
         raise FormatError(f"n: cube order {n} exceeds the cap {DEFAULT_ORDER_CAP}")
     parsed = {}  # each distinct scalar string is parsed once, at its first location
-    raw = [
-        [
-            [
-                x if type(x) is int
-                else parsed[x] if type(x) is str and x in parsed
-                else parsed.setdefault(x, parse_scalar(x, f"entries[{i}][{j}][{k}]"))
-                for k, x in enumerate(_require_list(column, n, f"entries[{i}][{j}]"))
-            ]
-            for j, column in enumerate(_require_list(plane, n, f"entries[{i}]"))
+
+    def columns():
+        for i, plane in enumerate(_require_list(doc.get("entries"), n, "entries")):
+            for j, column in enumerate(_require_list(plane, n, f"entries[{i}]")):
+                yield _require_list(column, n, f"entries[{i}][{j}]")
+
+    def convert(column, i, j):
+        return [
+            x if type(x) is int
+            else parsed[x] if type(x) is str and x in parsed
+            else parsed.setdefault(x, parse_scalar(x, f"entries[{i}][{j}][{k}]"))
+            for k, x in enumerate(column)
         ]
-        for i, plane in enumerate(_require_list(doc.get("entries"), n, "entries"))
-    ]
+
     try:
-        return validate_cube(raw)
+        return _cube_from_columns(n, columns(), convert)
     except OperandBoundError as err:
         raise FormatError(f"entries: {err}") from None
 

@@ -292,6 +292,21 @@ def search_nonassociative_loop(n=5):
     return [tuple(r) for r in rows]
 
 
+def first_nonassociative_triple(rows):
+    """The first (a, b, c), in lexicographic order of 1-based states, with
+    (a b) c != a (b c) in a table of 1-based labels, together with both
+    products, as (a, b, c, (a b) c, a (b c)); None when every triple
+    associates."""
+    size = len(rows)
+    product = {(a, b): rows[a - 1][b - 1] for a in range(1, size + 1) for b in range(1, size + 1)}
+    states = range(1, size + 1)
+    for a, b, c in ((a, b, c) for a in states for b in states for c in states):
+        left, right = product[product[a, b], c], product[a, product[b, c]]
+        if left != right:
+            return a, b, c, left, right
+    return None
+
+
 def relabel_cube(entries, perm):
     """Apply one permutation of states to all three axes.
 

@@ -1,5 +1,8 @@
 import ast
+import doctest
+import importlib
 import math
+import pkgutil
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -128,8 +131,19 @@ class TestValidateCube:
             ([[[1, 0], [0, 1]], [[0, 1], [1]]], (2, 2), "expected 2 entries, found 1"),
             ([1], (1,), "expected 1 columns, found int"),
             ([[1]], (1, 1), "expected 1 entries, found int"),
+            (["1"], (1,), "expected 1 columns, found str"),
+            ([["1"]], (1, 1), "expected 1 entries, found str"),
+            ([[b"1"]], (1, 1), "expected 1 entries, found bytes"),
         ],
-        ids=["not-a-sequence", "short-column", "plane-not-a-sequence", "column-not-a-sequence"],
+        ids=[
+            "not-a-sequence",
+            "short-column",
+            "plane-not-a-sequence",
+            "column-not-a-sequence",
+            "str-plane",
+            "str-column",
+            "bytes-column",
+        ],
     )
     def test_shape_mismatch(self, raw, indices, detail):
         with pytest.raises(ValidationError) as exc:
@@ -152,6 +166,23 @@ class TestValidateCube:
             validate_cube([[[True]]])
         with pytest.raises(TypeError):
             validate_cube([[[1, 0], [0, 1]], [[0, True], [1, 0]]])
+
+    @pytest.mark.parametrize(
+        "entry, error",
+        [(None, TypeError), (0.5, TypeError), (False, TypeError), ("half", ValueError), ("1/0", ZeroDivisionError)],
+        ids=["none", "float", "bool", "unparsable", "zero-denominator"],
+    )
+    def test_other_entries_raise_what_rat_raises(self, entry, error):
+        # as the docstring says: the error of rat, not a ValidationError
+        with pytest.raises(error) as exc:
+            validate_cube([[[entry, 1], [1, 0]], [[1, 0], [0, 1]]])
+        assert type(exc.value) is error
+
+    def test_equal_columns_share_one_tuple(self):
+        half = [Fraction(1, 2), Fraction(1, 2)]
+        cube = validate_cube([[half, ["1/2", "0.5"]], [[1, 0], list(half)]])
+        assert cube.planes[0][0] is cube.planes[0][1] is cube.planes[1][1]
+        assert len({id(col) for plane in cube.planes for col in plane}) == 2
 
     def test_idempotent_on_cube(self, z2_cube):
         assert validate_cube(z2_cube) is z2_cube
@@ -491,3 +522,13 @@ def test_cube_and_measure_constructors_are_called_at_known_sites():
         if path.stem != "core":
             visit(ast.parse(path.read_text()), path.stem, None)
     assert sites == {("derivation", "derive_cube", "StructureCube"), ("recovery", "_read_off", "MeasureVector")}
+
+
+def test_docstring_examples_run():
+    # every >>> example in the package (core.rat and
+    # groups.enumerate_abelian_groups among them) runs and holds; __main__
+    # is skipped, since importing it runs the command line
+    names = [f"hgforge.{info.name}" for info in pkgutil.iter_modules(hgforge.__path__) if info.name != "__main__"]
+    results = [doctest.testmod(importlib.import_module(name)) for name in ["hgforge"] + names]
+    failed, attempted = sum(r.failed for r in results), sum(r.attempted for r in results)
+    assert failed == 0 and attempted >= 2, (failed, attempted)

@@ -216,6 +216,44 @@ class TestOneLoadingPass:
         assert parse_cube_document(doc) == cube
         assert sorted(parsed) == sorted(set(strings))
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("true", "expected a number, found a boolean"),
+            ("1.0", 'bare floats are inexact; quote the value, e.g. "3/4" or "0.75"'),
+        ],
+        ids=["bool", "float"],
+    )
+    def test_column_equal_to_an_earlier_int_column_is_refused_in_place(self, entry, message):
+        # [0, true] and [0, 1.0] equal [0, 1] as tuples, yet are no int column
+        doc = json.loads('{"n": 2, "entries": [[[1, 0], [0, 1]], [[0, %s], [1, 0]]]}' % entry)
+        with pytest.raises(FormatError) as err:
+            parse_cube_document(doc)
+        assert str(err.value) == f"entries[1][0][1]: {message}"
+
+    def test_a_repeated_bad_column_is_reported_at_each_place(self):
+        # [2, -1] at (1, 1) and (2, 2), and 1/2 written two ways at (1, 2)
+        # and (2, 1): each is checked once, and reported wherever it stands
+        doc = {"n": 2, "entries": [[[2, -1], ["1/2", 0]], [["0.5", 0], [2, -1]]]}
+        with pytest.raises(ValidationError) as err:
+            parse_cube_document(doc)
+        assert [(v.kind, v.indices, v.detail) for v in err.value.violations] == [
+            ("negative-entry", (1, 1, 2), "-1"),
+            ("column-sum-not-one", (1, 2), "sums to 1/2"),
+            ("column-sum-not-one", (2, 1), "sums to 1/2"),
+            ("negative-entry", (2, 2, 2), "-1"),
+        ]
+        assert oracle_load(doc) == ("violations", [(v.kind, v.indices, v.detail) for v in err.value.violations])
+
+    def test_a_derived_cube_holds_one_object_per_distinct_column(self):
+        rng = random.Random(4)
+        measure = [rat(rng.randrange(1, 100), 1000) for _ in range(15)]
+        measure.append(1 - sum(measure))
+        cube = derive_cube(cayley_table(InvariantFactors((4, 4))), measure)
+        loaded = parse_cube_document(json.loads(serialize(cube_to_document(cube))))
+        assert loaded == cube
+        assert len({id(col) for plane in loaded.planes for col in plane}) == 16
+
     def test_boolean_entry_still_refused(self):
         with pytest.raises(FormatError, match=re.escape("entries[0][0][0]: expected a number, found a boolean")):
             parse_cube_document({"n": 1, "entries": [[[True]]]})
@@ -281,7 +319,8 @@ def _cube_documents(draw):
     """Cube documents of order 1-3: probability columns and arbitrary ones,
     some entries widened past the operand bound, every scalar written in
     one of a pool of one or two accepted forms drawn per value, so that a
-    document repeats its strings."""
+    document repeats its strings, and some columns copied to other slots,
+    so that it repeats valid and invalid columns."""
     n = draw(st.integers(1, 3))
     valid = draw(st.booleans())
     entries = []
@@ -299,6 +338,9 @@ def _cube_documents(draw):
         if q not in texts:
             texts[q] = draw(st.lists(_scalar_text(q), min_size=1, max_size=2))
     columns = [[draw(st.sampled_from(texts[q])) for q in col] for col in entries]
+    # repeat some columns, written as drawn, in other slots
+    for _ in range(draw(st.integers(0, n * n))):
+        columns[draw(st.integers(0, n * n - 1))] = list(columns[draw(st.integers(0, n * n - 1))])
     return {"n": n, "entries": [columns[i * n:(i + 1) * n] for i in range(n)]}
 
 

@@ -1,4 +1,5 @@
 import ast
+import math
 import random
 from pathlib import Path
 
@@ -14,8 +15,14 @@ from hgforge import (
     enumerate_abelian_groups,
     verify_group_axioms,
 )
-from hgforge.groups import _abelian_groups
-from oracles import matmul, partition_count, search_nonassociative_loop, translation_matrices
+from hgforge.groups import _abelian_groups, _generators
+from oracles import (
+    first_nonassociative_triple,
+    matmul,
+    partition_count,
+    search_nonassociative_loop,
+    translation_matrices,
+)
 
 
 def _identity(n):
@@ -237,6 +244,77 @@ class TestVerifyAxioms:
     def test_out_of_range_values(self):
         with pytest.raises(ValueError):
             verify_group_axioms([[1, 2], [2, 3]])
+
+
+def _associativity_message(rows):
+    found = first_nonassociative_triple(rows)
+    if found is None:
+        return None
+    a, b, c, left, right = found
+    return f"associativity fails at ({a}, {b}, {c}): expected state {left}, got state {right}"
+
+
+def _isotopes(count, seed):
+    """Random isotopes x o y = gamma(alpha(x) beta(y)) of abelian group
+    tables of orders 2-12; one in three is an isomorphic relabelling
+    (alpha = beta = gamma inverse), so that both verdicts occur."""
+    rng = random.Random(seed)
+    classes = [g for n in range(2, 13) for g in enumerate_abelian_groups(n)]
+    for _ in range(count):
+        rows = cayley_table(rng.choice(classes)).rows
+        n = len(rows)
+        alpha, beta, gamma = (rng.sample(range(1, n + 1), n) for _ in range(3))
+        if rng.randrange(3) == 0:
+            beta = alpha
+            gamma = [alpha.index(x) + 1 for x in range(1, n + 1)]
+        yield [[gamma[rows[alpha[x] - 1][beta[y] - 1] - 1] for y in range(n)] for x in range(n)]
+
+
+class TestLightsTest:
+    """Associativity is proved from a generating set; a failure names the
+    full scan's first failing triple."""
+
+    def test_isotopes_agree_with_the_full_scan(self):
+        verdicts = set()
+        for rows in _isotopes(400, seed=20):
+            expected = _associativity_message(rows)
+            if expected is None:
+                # an associative isotope is a group isomorphic to the
+                # abelian one: only the identity's position can fail
+                identity = next(e for e in range(1, len(rows) + 1) if rows[e - 1] == list(range(1, len(rows) + 1)))
+                expected = None if identity == 1 else f"identity at state {identity}, expected state 1"
+            try:
+                verify_group_axioms(rows)
+                message = None
+            except InvalidTable as err:
+                message = str(err)
+            assert message == expected, rows
+            verdicts.add(expected.split()[0] if expected else "group")
+        assert verdicts == {"group", "associativity", "identity"}
+
+    def test_generators_of_every_group_up_to_64(self):
+        for n in range(1, 65):
+            for factors in enumerate_abelian_groups(n):
+                rows = cayley_table(factors).rows
+                gens = _generators(rows)
+                assert len(gens) <= math.floor(math.log2(n)) + 1, (factors, gens)
+                closure = set(gens)
+                while True:
+                    grown = closure | {rows[x - 1][y - 1] for x in closure for y in closure}
+                    if grown == closure:
+                        break
+                    closure = grown
+                assert closure == set(range(1, n + 1)), factors
+
+    def test_loop_whose_first_generator_associates(self):
+        rows = search_nonassociative_loop(5)
+        # the identity is the first generator and associates with every
+        # pair, so checking it alone would pass the loop
+        assert _generators(rows)[0] == 1
+        assert all(rows[rows[x][0] - 1][y] == rows[x][rows[0][y] - 1] for x in range(5) for y in range(5))
+        with pytest.raises(InvalidTable) as err:
+            verify_group_axioms(rows)
+        assert str(err.value) == _associativity_message(rows)
 
 
 class TestRegularRepresentation:

@@ -109,6 +109,8 @@ class TestRecover:
         result = recover([[["1/2", "1/3"], [0, 1]], [[0, 1], [1, 0]]])
         assert result.reason == "fails-validation"
         assert recover([1]).reason == "fails-validation"
+        # a str column is not read as its characters
+        assert recover([["1"]]).reason == "fails-validation"
 
     def test_uniform_cube_rejected(self, z2_table):
         cube = derive_cube(z2_table, validate_measure(["1/2", "1/2"]))
