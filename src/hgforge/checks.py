@@ -14,9 +14,14 @@ corollary compare sides that are bilinear in the entries, so they scale
 by D**2 on both sides.  Every entry of such a side lies in [0, D**2], so
 the matrix route and product-columns pack each row or column of a side
 into one int, w = (D*D).bit_length() bits a slot, with no carry between
-slots (Kronecker substitution; see _matrix_violations); the brute-force
-route stays unpacked, as the independent check of the slot width, and
-expands over each column's nonzero (index, value) pairs only.
+slots (Kronecker substitution; see _matrix_violations).  The matrix
+route also computes each side once per distinct value it depends on:
+(distinct rows + distinct columns) x n packed products plus n**3
+lookups, which is 2n**2 products on a derived cube and 2n**3 on a cube
+that repeats no row or column.  The brute-force route stays unpacked
+and unshared on purpose, as the independent check of the slot width and
+of that sharing, and expands over each column's nonzero (index, value)
+pairs only.
 Witnesses are turned back into the exact rationals they stand for, and
 only for a witness that is kept.
 """
@@ -160,22 +165,49 @@ def _matrix_violations(cube: StructureCube):
     a_k <= D and the b_k a column, so 0 <= entry <= D**2 < 2**w.  A
     violating row is unpacked only at its first differing entry, the slot
     of the lowest set bit of lhs ^ rhs.
+
+    Each side is computed once per distinct value it depends on, within
+    one call: the product row depends only on row r of L_i, by value, and
+    on j; the mix row only on the product column (i, j), by value, and on
+    r.  Each is computed the first time the scan reaches it and looked up
+    after that, and a row is keyed the first time the scan reaches it in
+    its plane, so a scan that stops early keys no more than it reads.
+    The cost is (distinct rows + distinct columns) x n packed products
+    plus n**3 lookups.  A derived cube has at most n distinct rows (its
+    actions are G_i M, row permutations of the mixture matrix) and n
+    distinct columns, so 2n**2 products; a cube that repeats no row or
+    column does the 2n**3 products of the unshared scan, in the same
+    order.  is_associative_bruteforce shares nothing, on purpose.
     """
     n, planes = cube.n, cube.planes
     scale = cube.denominator**2
     w = scale.bit_length()
     mask = (1 << w) - 1
-    actions = [[[plane[c][r] for c in range(n)] for r in range(n)] for plane in planes]
+    actions = [list(zip(*plane)) for plane in planes]
     packed = [[_pack(row, w) for row in action] for action in actions]
     packed_rows = [[packed[k][r] for k in range(n)] for r in range(n)]
+    # by value, for this call only: a row's nonzero entries and its
+    # products by L_j, a column's nonzero entries and its mixes of row r
+    products, mixes = {}, {}
     for i in range(n):
-        rows_i = [(row, [x for x in row if x]) for row in actions[i]]
+        rows_i, keyed = actions[i], [None] * n
         for j in range(n):
             packed_j, mix = packed[j], planes[i][j]
-            coeffs = [q for q in mix if q]
-            for r, (row, xs) in enumerate(rows_i):
-                lhs = sum(map(mul, xs, compress(packed_j, row)))
-                rhs = sum(map(mul, coeffs, compress(packed_rows[r], mix)))
+            if mix not in mixes:
+                mixes[mix] = [q for q in mix if q], [None] * n
+            coeffs, mixed = mixes[mix]
+            for r, row in enumerate(rows_i):
+                if keyed[r] is None:
+                    if row not in products:
+                        products[row] = [x for x in row if x], [None] * n
+                    keyed[r] = products[row]
+                xs, product = keyed[r]
+                lhs = product[j]
+                if lhs is None:
+                    lhs = product[j] = sum(map(mul, xs, compress(packed_j, row)))
+                rhs = mixed[r]
+                if rhs is None:
+                    rhs = mixed[r] = sum(map(mul, coeffs, compress(packed_rows[r], mix)))
                 if lhs != rhs:
                     c = (((lhs ^ rhs) & -(lhs ^ rhs)).bit_length() - 1) // w
                     at = f"entry ({r + 1}, {c + 1}) = "

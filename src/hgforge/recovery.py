@@ -173,6 +173,11 @@ def recover(cube) -> RecoveryResult:
     Only a cube the read-off does not certify runs the three gates.  A
     rejection reports only the first witness of its check: the checks
     keep one, and the associativity gate stops at its first violation.
+    That gate is the matrix route, which forms each packed row product
+    and column mix once per distinct action row or product column, so a
+    full scan costs (distinct rows + distinct columns) x n products plus
+    n**3 lookups; the brute-force route, which recover does not run,
+    stays unshared on purpose as the independent cross-check.
     """
     try:
         cube = validate_cube(cube)

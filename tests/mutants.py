@@ -1,0 +1,204 @@
+"""A mutation catalogue: small breaks of the program that tier-1 must catch.
+
+    python3 tests/mutants.py            # run every mutant
+    python3 tests/mutants.py NAME ...   # run the named ones
+
+Run from the root of a source checkout.  Each mutant replaces one exact
+snippet of one file under src/ and names the test node ids that must
+fail once it is in place.  For each mutant the script copies src/ to a
+temporary directory, applies the replacement there (the checkout is
+never touched), and runs the named nodes in a child pytest whose import
+path is that copy alone.  A mutant survives when any of its nodes passes.
+The script prints one line per mutant and exits 1 when a mutant survives
+or a snippet no longer occurs exactly once, so a stale entry is noticed.
+
+pytest does not collect this file; test_mutants.py checks, within
+tier-1, that every snippet still occurs exactly once and that every node
+names a test that exists.  A change that adds tests against a mutant
+adds the mutant here and quotes this script's output.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to src/
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # node ids relative to the checkout's root
+
+
+MUTANTS = (
+    # the matrix route's per-value memos (checks._matrix_violations)
+    Mutant(
+        "row products keyed without j",
+        "hgforge/checks.py",
+        "                lhs = product[j]\n"
+        "                if lhs is None:\n"
+        "                    lhs = product[j] =",
+        "                lhs = product[0]\n"
+        "                if lhs is None:\n"
+        "                    lhs = product[0] =",
+        (
+            "tests/test_checks.py::TestMatrixSharing::test_shared_values_match_fraction_oracle",
+            "tests/test_checks.py::TestMatrixWork::test_derived_cube_forms_each_product_once[8]",
+        ),
+    ),
+    Mutant(
+        "column mixes keyed without r",
+        "hgforge/checks.py",
+        "                rhs = mixed[r]\n"
+        "                if rhs is None:\n"
+        "                    rhs = mixed[r] =",
+        "                rhs = mixed[0]\n"
+        "                if rhs is None:\n"
+        "                    rhs = mixed[0] =",
+        (
+            "tests/test_checks.py::TestMatrixSharing::test_shared_values_match_fraction_oracle",
+            "tests/test_checks.py::TestMatrixWork::test_derived_cube_forms_each_product_once[8]",
+        ),
+    ),
+    Mutant(
+        "memos kept across calls",
+        "hgforge/checks.py",
+        "    products, mixes = {}, {}\n",
+        '    products, mixes = _matrix_violations.__dict__.setdefault("memos", ({}, {}))\n',
+        (
+            "tests/test_checks.py::TestMatrixSharing::test_shared_values_match_fraction_oracle",
+            "tests/test_checks.py::TestMatrixSharing::test_equal_rows_over_different_denominators_back_to_back",
+        ),
+    ),
+    Mutant(
+        "verdict memoized per (row, column) pair",
+        "hgforge/checks.py",
+        "                if lhs != rhs:\n"
+        "                    c = (((lhs ^ rhs)",
+        '                if mixes.setdefault(("verdict", row, mix), lhs != rhs):\n'
+        "                    c = (((lhs ^ rhs)",
+        (
+            "tests/test_checks.py::TestMatrixSharing::test_shared_values_match_fraction_oracle",
+            "tests/test_checks.py::TestCrossOracle::test_integer_scans_match_fraction_oracle_witness_for_witness",
+        ),
+    ),
+    Mutant(
+        "matrix slot one bit narrow",
+        "hgforge/checks.py",
+        "    scale = cube.denominator**2\n    w = scale.bit_length()\n",
+        "    scale = cube.denominator**2\n    w = scale.bit_length() - 1\n",
+        (
+            "tests/test_checks.py::TestSlotWidth::test_entries_equal_to_d_squared[1000000]",
+            "tests/test_checks.py::TestMatrixSharing::test_shared_values_match_fraction_oracle",
+        ),
+    ),
+    # recorded by earlier changes
+    Mutant(
+        "ranks keyed by row count",
+        "hgforge/checks.py",
+        "        key = frozenset(rows)\n",
+        "        key = len(rows)\n",
+        (
+            "tests/test_checks.py::TestConditionA::test_ranks_match_fraction_oracle",
+            "tests/test_checks.py::TestConditionA::test_a_right_rank_equal_to_its_left_one_is_not_recomputed",
+        ),
+    ),
+    Mutant(
+        "only the first generator in Light's test",
+        "hgforge/groups.py",
+        "    for a in _generators(table):\n",
+        "    for a in _generators(table)[:1]:\n",
+        ("tests/test_groups.py::TestLightsTest::test_loop_whose_first_generator_associates",),
+    ),
+    Mutant(
+        "column (1, 2) taken as the measure",
+        "hgforge/recovery.py",
+        "MeasureVector(cube.n, cube.column(1, 1))",
+        "MeasureVector(cube.n, cube.column(1, 2))",
+        (
+            "tests/test_recovery.py::TestRecover::test_z2_fixture",
+            "tests/test_recovery.py::TestRecover::test_round_trips_across_groups",
+        ),
+    ),
+    Mutant(
+        "columns keyed by isinstance",
+        "hgforge/core.py",
+        "        if not {int, str}.issuperset(map(type, key)):\n",
+        "        if not all(isinstance(x, (int, str)) for x in key):\n",
+        (
+            "tests/test_core.py::TestValidateCube::test_bool_entry_rejected",
+            "tests/test_formats.py::TestOneLoadingPass::test_column_equal_to_an_earlier_int_column_is_refused_in_place[bool]",
+        ),
+    ),
+)
+
+
+def occurrences(mutant):
+    return (SRC / mutant.path).read_text(encoding="utf-8").count(mutant.snippet)
+
+
+def failed_nodes(output):
+    """Node ids that pytest's -rfE summary lists as failed or in error."""
+    nodes = set()
+    for line in output.splitlines():
+        for mark in ("FAILED ", "ERROR "):
+            if line.startswith(mark):
+                nodes.add(line[len(mark):].split(" - ")[0].strip())
+    return nodes
+
+
+def killed(mutant, output, returncode):
+    """Whether every node of the mutant failed."""
+    failed = failed_nodes(output)
+    return returncode != 0 and all(node in failed for node in mutant.tests)
+
+
+def run(mutant):
+    """Apply the mutant to a copy of src/ and run its nodes there."""
+    with tempfile.TemporaryDirectory(prefix="hgforge-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / mutant.path
+        text = target.read_text(encoding="utf-8")
+        target.write_text(text.replace(mutant.snippet, mutant.replacement, 1), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        command = [
+            sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+            "-o", f"pythonpath={src}", *mutant.tests,
+        ]
+        done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
+    return killed(mutant, done.stdout, done.returncode)
+
+
+def main(names):
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"error: no mutant named {sorted(unknown)}", file=sys.stderr)
+        return 2
+    bad = 0
+    for mutant in chosen:
+        found = occurrences(mutant)
+        if found != 1:
+            verdict = f"stale: snippet occurs {found} times in src/{mutant.path}"
+        else:
+            verdict = "killed" if run(mutant) else "SURVIVED"
+        bad += verdict != "killed"
+        print(f"{verdict:8s}  {mutant.name}  ({len(mutant.tests)} node(s))")
+    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -171,10 +171,11 @@ def _dyadic_cube(rng, n, bits, cells):
     return validate_cube(entries)
 
 
-def _support_three_cube(rng, n):
-    """A derived cube whose measure weighs the identity and two other
-    states, as in random walks: every column has three nonzero entries."""
-    states = [0, *rng.sample(range(1, n), 2)]
+def _support_cube(rng, n, support=3):
+    """A derived cube whose measure weighs the identity and support - 1
+    other states, as random walks do at support 3: every column has
+    `support` nonzero entries."""
+    states = [0, *rng.sample(range(1, n), support - 1)]
     weights = {s: rng.randint(1, 10**6) for s in states}
     total = sum(weights.values())
     measure = [rat(weights.get(s, 0), total) for s in range(n)]
@@ -222,7 +223,7 @@ class TestCrossOracle:
         # of each column; derived, perturbed both ways, and one cube that
         # does not commute
         for n in range(8, 13):
-            cube = _support_three_cube(rng, n)
+            cube = _support_cube(rng, n)
             cubes.append(cube)
             for symmetric in (True, False):
                 cubes.append(validate_cube(perturbed_entries(cube.entries, rng, symmetric)))
@@ -279,7 +280,7 @@ class TestCrossOracle:
 
     def test_brute_force_route_shares_no_packing(self, z3_cube, nonassoc_cube, monkeypatch):
         rng = random.Random(8)
-        sparse = validate_cube(perturbed_entries(_support_three_cube(rng, 8).entries, rng, symmetric=False))
+        sparse = validate_cube(perturbed_entries(_support_cube(rng, 8).entries, rng, symmetric=False))
         cubes = [z3_cube, nonassoc_cube, _dyadic_cube(random.Random(5), 4, 2, 2), sparse]
         expected = [is_associative_bruteforce(cube) for cube in cubes]
 
@@ -327,6 +328,174 @@ class TestSlotWidth:
             assert cube.denominator == 2**7140 and len(str(cube.denominator)) == MAX_OPERAND_DIGITS
             reports = self._assert_packed_routes_match_oracle(cube, cap)
             assert not any(report.holds for report in reports)
+
+
+def _action_rows(cube):
+    """Every row of every left action, as int tuples: row r of L_i holds
+    entry (i, c, r) at c."""
+    return [row for plane in cube.planes for row in zip(*plane)]
+
+
+def _split_sparse_z6(rng):
+    """A derived cube of Z6 (state s is the element s - 1) whose measure
+    sits on the elements 0, 1 and 3, with the product column of states
+    (2, 3) and its mirror (3, 2) moved off the value it shares with every
+    pair whose elements sum to 3.  The mix of that value reads only the
+    actions of elements 3, 4 and 0, which the move leaves as they are, so
+    other pairs that share it still hold while the moved pair does not."""
+    table = cayley_table(InvariantFactors((6,)))
+    weights = {0: rng.randint(1, 50), 1: rng.randint(1, 50), 3: rng.randint(1, 50)}
+    total = sum(weights.values())
+    derived = derive_cube(table, [rat(weights.get(s, 0), total) for s in range(6)])
+    entries = [[list(col) for col in plane] for plane in derived.entries]
+    column = entries[1][2]
+    p = next(k for k in range(6) if column[k])
+    shift = column[p] / 3
+    column[p] -= shift
+    column[(p + 2) % 6] += shift
+    entries[2][1] = list(column)
+    return derived, validate_cube(entries)
+
+
+def _shared_value_cubes():
+    """Cubes whose action rows or product columns repeat, so that the
+    matrix route's per-value memos are read back, each with the repeat
+    that a wrongly keyed memo would get wrong."""
+    rng = random.Random(3003)
+    cubes = {}
+
+    # one column in every plane, at pairs whose other data differ
+    derived = derive_cube(cayley_table(InvariantFactors((5,))), random_measure(rng, 5, positive=True))
+    entries = [[list(col) for col in plane] for plane in derived.entries]
+    shared = _random_column(rng, 5)
+    for i, j in ((0, 1), (1, 0), (2, 3), (3, 2), (4, 4)):
+        entries[i][j] = shared
+    cube = validate_cube(entries)
+    column = cube.planes[0][1]
+    assert all(column in plane for plane in cube.planes)
+    cubes["column in every plane"] = cube
+
+    # point masses on Z4, one pair moved: the unit rows repeat in every
+    # plane, and a row times L_j differs from j to j
+    table = cayley_table(InvariantFactors((4,)))
+    entries = [[[rat(int(k == table.rows[i][j] - 1)) for k in range(4)] for j in range(4)] for i in range(4)]
+    entries[1][2] = entries[2][1] = [rat(1, 3), 0, 0, rat(2, 3)]
+    cube = validate_cube(entries)
+    rows = _action_rows(cube)
+    assert rows.count((0, 0, 0, cube.denominator)) > 1
+    assert len({tuple(matmul([[1, 0, 0, 0]], left_action(cube.entries, j))[0]) for j in (1, 2, 3, 4)}) == 4
+    cubes["row in several planes"] = cube
+
+    # coset cubes: n/2 distinct columns, associative, fail condition (A)
+    for factors in ((4,), (2, 2), (6,), (2, 4)):
+        table = cayley_table(InvariantFactors(factors))
+        h = next(h for h in range(2, table.n + 1) if table.rows[h - 1][h - 1] == 1)
+        cube = derive_cube(table, coset_measure(rng, table.rows, h))
+        while 2 * oracle_distinct_columns(cube.entries) != cube.n:  # two cosets drew equal weights
+            cube = derive_cube(table, coset_measure(rng, table.rows, h))
+        cubes[f"coset of {factors}"] = cube
+
+    # one shared column split: pairs that shared it hold, the moved one
+    # does not
+    derived, cube = _split_sparse_z6(rng)
+    sharing = [(i + 1, j + 1) for i in range(6) for j in range(6) if (i + j) % 6 == 3]
+    violating = {w[0] for w in oracle_associativity(cube.entries)["associative-matrix"][1]}
+    assert (2, 3) in violating and not set(sharing) <= violating
+    assert all(derived.planes[i - 1][j - 1] == derived.planes[1][2] for i, j in sharing)
+    cubes["split column"] = cube
+
+    # equal int rows over different denominators: the same planes but for
+    # the last entry of each column, D raised to a prime
+    base = derive_cube(cayley_table(InvariantFactors((3,))), validate_measure(["1/2", "1/3", "1/6"]))
+    common = 13
+    raised = [[[rat(x + (k == 2) * (common - base.denominator), common) for k, x in enumerate(col)]
+               for col in plane] for plane in base.planes]
+    cube = validate_cube(raised)
+    assert cube.denominator == common != base.denominator
+    assert set(_action_rows(cube)) & set(_action_rows(base))
+    cubes["equal rows, D 6"] = base
+    cubes["equal rows, D 13"] = cube
+    return cubes
+
+
+class TestMatrixSharing:
+    # the matrix route computes each side once per distinct row or column
+    # it depends on; every answer must be the unshared one
+    def test_shared_values_match_fraction_oracle(self):
+        cubes = _shared_value_cubes()
+        outcomes = set()
+        # back to back, twice, so a memo that outlived its call would be
+        # read by a later cube
+        for name in [*cubes, *reversed(cubes)]:
+            cube = cubes[name]
+            count, witnesses = oracle_associativity(cube.entries)["associative-matrix"]
+            for cap in (1, 3, 10**6):
+                report = is_associative_matrix(cube, cap)
+                assert report.violation_count == count, (name, cap)
+                assert [(w.indices, w.expected, w.actual) for w in report.witnesses] == witnesses[:cap], (name, cap)
+            assert next(checks._matrix_violations(cube), None) == (witnesses[0] if witnesses else None), name
+            result = recover(cube)
+            assert result == gates_only(cube), name
+            outcomes.add((count == 0, result.reason))
+        assert {(False, "not-associative"), (True, "fails-condition-a")} <= outcomes
+
+    def test_equal_rows_over_different_denominators_back_to_back(self):
+        cubes = _shared_value_cubes()
+        pair = [cubes["equal rows, D 6"], cubes["equal rows, D 13"]]
+        expected = [oracle_associativity(cube.entries)["associative-matrix"] for cube in pair]
+        assert [count for count, _ in expected] == [0, 9]
+        for cube, (count, witnesses) in [*zip(pair, expected), *zip(pair[::-1], expected[::-1])] * 2:
+            report = is_associative_matrix(cube, 10**6)
+            assert (report.violation_count, [(w.indices, w.expected, w.actual) for w in report.witnesses]) == (
+                count,
+                witnesses,
+            )
+
+
+def _counted_multiplications(cube, monkeypatch):
+    """The matrix route's report and its int multiplications, counted
+    through checks.mul, which it maps over every product it forms."""
+    count = 0
+
+    def counted(a, b):
+        nonlocal count
+        count += 1
+        return a * b
+
+    with monkeypatch.context() as patch:
+        patch.setattr(checks, "mul", counted)
+        report = is_associative_matrix(cube)
+    return report, count
+
+
+class TestMatrixWork:
+    # deterministic work, no timing: a regression in the sharing fails here
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    def test_derived_cube_forms_each_product_once(self, n, monkeypatch):
+        # n distinct rows and columns, each with s nonzero entries: n**2
+        # products of s multiplications a side
+        rng = random.Random(n)
+        for support in (1, 3, 5):
+            cube = _support_cube(rng, n, support)
+            assert len(set(_action_rows(cube))) == len({col for plane in cube.planes for col in plane}) == n
+            report, count = _counted_multiplications(cube, monkeypatch)
+            assert report.holds
+            assert count == 2 * support * n * n
+
+    def test_cube_that_repeats_nothing_does_the_unshared_work(self, monkeypatch):
+        # every lookup misses, so the count is the unshared scan's, as
+        # measured on it: each pair stops at its first differing row,
+        # and a memo filled ahead of the scan would do up to 2n**4
+        rng = random.Random(1212)
+        counts = []
+        for n in (5, 9):
+            cube = validate_cube([[_random_column(rng, n) for _ in range(n)] for _ in range(n)])
+            columns = [col for plane in cube.planes for col in plane]
+            assert len(set(columns)) == len(columns) == len(set(_action_rows(cube)))
+            report, count = _counted_multiplications(cube, monkeypatch)
+            assert report.violation_count == oracle_associativity(cube.entries)["associative-matrix"][0]
+            counts.append(count)
+        assert counts == [226, 1345]
 
 
 def _oracle_cubes():
