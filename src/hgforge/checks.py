@@ -18,7 +18,8 @@ slots (Kronecker substitution; see _matrix_violations).  The matrix
 route also computes each side once per distinct value it depends on:
 (distinct rows + distinct columns) x n packed products plus n**3
 lookups, which is 2n**2 products on a derived cube and 2n**3 on a cube
-that repeats no row or column.  The brute-force route stays unpacked
+that repeats no row or column, and it packs each distinct action row
+once, so n packs on a derived cube.  The brute-force route stays unpacked
 and unshared on purpose, as the independent check of the slot width and
 of that sharing, and expands over each column's nonzero (index, value)
 pairs only.
@@ -172,27 +173,46 @@ def _matrix_violations(cube: StructureCube):
     r.  Each is computed the first time the scan reaches it and looked up
     after that, and a row is keyed the first time the scan reaches it in
     its plane, so a scan that stops early keys no more than it reads.
-    The cost is (distinct rows + distinct columns) x n packed products
-    plus n**3 lookups.  A derived cube has at most n distinct rows (its
-    actions are G_i M, row permutations of the mixture matrix) and n
-    distinct columns, so 2n**2 products; a cube that repeats no row or
-    column does the 2n**3 products of the unshared scan, in the same
-    order.  is_associative_bruteforce shares nothing, on purpose.
+    Packing is shared the same way: the rows of an action are packed the
+    first time a product reads that action or a mix reads any row index,
+    and each distinct row once, by value, so a derived cube costs n packs
+    and any cube at most n**2.  The cost is (distinct rows + distinct
+    columns) x n packed products plus n**3 lookups.  A derived cube has
+    at most n distinct rows (its actions are G_i M, row permutations of
+    the mixture matrix) and n distinct columns, so 2n**2 products; a cube
+    that repeats no row or column does the 2n**3 products of the unshared
+    scan, in the same order.  is_associative_bruteforce shares nothing,
+    on purpose.
     """
     n, planes = cube.n, cube.planes
     scale = cube.denominator**2
     w = scale.bit_length()
     mask = (1 << w) - 1
     actions = [list(zip(*plane)) for plane in planes]
-    packed = [[_pack(row, w) for row in action] for action in actions]
-    packed_rows = [[packed[k][r] for k in range(n)] for r in range(n)]
-    # by value, for this call only: a row's nonzero entries and its
-    # products by L_j, a column's nonzero entries and its mixes of row r
+    # by value, for this call only: a row's packed int, a row's nonzero
+    # entries and its products by L_j, a column's nonzero entries and its
+    # mixes of row r
+    packs = {}
     products, mixes = {}, {}
+    # P[k], the rows of L_k packed, and P[.][r], row r of every L_k
+    # packed, each built the first time a product or a mix reads it
+    packed_actions, packed_rows = [None] * n, [None] * n
+
+    def packed(k):
+        """P[k], packing each row not packed before in this call."""
+        if packed_actions[k] is None:
+            packed_actions[k] = row_packs = []
+            for row in actions[k]:
+                p = packs.get(row)
+                if p is None:
+                    p = packs[row] = _pack(row, w)
+                row_packs.append(p)
+        return packed_actions[k]
+
     for i in range(n):
         rows_i, keyed = actions[i], [None] * n
         for j in range(n):
-            packed_j, mix = packed[j], planes[i][j]
+            mix = planes[i][j]
             if mix not in mixes:
                 mixes[mix] = [q for q in mix if q], [None] * n
             coeffs, mixed = mixes[mix]
@@ -204,9 +224,11 @@ def _matrix_violations(cube: StructureCube):
                 xs, product = keyed[r]
                 lhs = product[j]
                 if lhs is None:
-                    lhs = product[j] = sum(map(mul, xs, compress(packed_j, row)))
+                    lhs = product[j] = sum(map(mul, xs, compress(packed(j), row)))
                 rhs = mixed[r]
                 if rhs is None:
+                    if packed_rows[r] is None:
+                        packed_rows[r] = [packed(k)[r] for k in range(n)]
                     rhs = mixed[r] = sum(map(mul, coeffs, compress(packed_rows[r], mix)))
                 if lhs != rhs:
                     c = (((lhs ^ rhs) & -(lhs ^ rhs)).bit_length() - 1) // w
@@ -258,7 +280,10 @@ def satisfies_condition_A(cube: StructureCube) -> ConditionAReport:
     since neither their order nor a repeated row changes the row space,
     so each distinct row set, left or right, is ranked once.  On a
     derived cube every such set is the n translates of the measure, and
-    the whole check costs one rank.
+    the whole check costs one rank.  Each rank is a Bareiss elimination
+    (core.rational_rank), since a cube given here need not come from a
+    group; recover takes a certified cube's ranks from its group's
+    characters instead (derivation.mixture_rank).
     """
     n, planes = cube.n, cube.planes
     distinct = len({col for plane in planes for col in plane})

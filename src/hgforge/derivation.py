@@ -9,6 +9,21 @@ measure; through it, recovery settles condition (A) with one rank.  The
 cube is built as integers over the measure's common denominator; the
 mixture matrix and the degeneracy witnesses stay in Fractions.
 
+The rank of M comes from the group's characters (mixture_rank), not from
+elimination.  M is the sum of mu(g) T_g, and the characters chi of the
+abelian group diagonalise every T_g at once, so the eigenvalues of M are
+the sums of mu(g) chi(g), and its rank is the number of them that are
+not 0 (the group determinant, Dedekind and Frobenius).  Characters with
+one kernel are Galois conjugates and vanish together (Perlis and
+Walker, Trans. AMS 68, 1950): for a class of order d, push mu onto Z_d
+along one of its characters, and the class vanishes exactly when that
+polynomial is divisible by the cyclotomic polynomial Phi_d.  The rank is
+the sum of phi(d) over the classes that do not vanish, decided in exact
+integer arithmetic on the measure's own integers, with none of the entry
+growth of an elimination: one pass over the measure's support per class,
+over the table's basis (groups.CayleyTable.basis), and one division by
+Phi_d.
+
 The construction degrades in exactly two ways, both detected here with
 an exact witness: two translates of the measure can coincide (the cube
 then has fewer than n distinct columns), or the mixture matrix can be
@@ -17,12 +32,17 @@ singular (the action matrices then drop rank).
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from functools import cache
+from operator import mul
 
 from .core import (
     DimensionMismatch,
     RationalMatrix,
     StructureCube,
+    _cleared_rows,
     scale_to_integers,
     validate_measure,
 )
@@ -108,14 +128,94 @@ def degeneracy_check(table: CayleyTable, measure) -> DegeneracyVerdict:
     Checks translate collisions first: if any two translates coincide,
     some translate equals the measure itself (translating the collision
     by a group element moves it there), and the first such state is the
-    witness.  Otherwise a rank drop of the mixture matrix, whose columns
-    are the translates, is reported through its canonical kernel vector.
+    witness.  Otherwise mixture_rank decides whether the mixture matrix,
+    whose columns are the translates, drops rank, and only a singular one
+    is eliminated, for its canonical kernel vector.
     """
-    translates = _translates(table, validate_measure(measure).values)
+    values = validate_measure(measure).values
+    translates = _translates(table, values)
     for h in range(1, table.n):
         if translates[h] == translates[0]:
             return DegeneracyVerdict(REPEATED_TRANSLATES, repeated_state=h + 1)
+    if mixture_rank(table, _cleared_rows([values])[0]) == table.n:
+        return DegeneracyVerdict(NON_DEGENERATE)
     kernel = RationalMatrix(tuple(zip(*translates))).kernel_vector()
-    if kernel is not None:
-        return DegeneracyVerdict(SINGULAR_MIXTURE, kernel_vector=kernel)
-    return DegeneracyVerdict(NON_DEGENERATE)
+    return DegeneracyVerdict(SINGULAR_MIXTURE, kernel_vector=kernel)
+
+
+def mixture_rank(table: CayleyTable, values) -> int:
+    """Rank of the mixture matrix of a group and a measure, from the
+    group's characters (see the module docstring).
+
+    values are the measure's values times one nonzero constant, as ints:
+    a product column of a derived cube is one, and the rank does not
+    depend on the constant.  Over the table's basis, the character of a
+    class with exponents e takes state g to the power sum_i e_i c_i(g) of
+    a primitive d-th root of unity, c(g) the coordinates of g; so the
+    measure pushed onto Z_d along it is one pass over the nonzero values.
+    Its remainder modulo the monic integer polynomial Phi_d stays in ints.
+    """
+    if table.n != len(values):
+        raise DimensionMismatch(f"group has {table.n} states, measure has {len(values)}")
+    orders, coordinates = table.basis
+    support = [(coordinates[g], v) for g, v in enumerate(values) if v]
+    rank = 0
+    for d, phi, exponents in _character_classes(orders):
+        pushed = [0] * d
+        for c, v in support:
+            pushed[sum(map(mul, exponents, c)) % d] += v
+        _divide(pushed, *_cyclotomic(d))
+        if any(pushed):
+            rank += phi
+    return rank
+
+
+# Both caches below are keyed by small ints or by the basis orders of a
+# group, so they hold a few entries per group order seen.
+
+
+@cache
+def _character_classes(orders):
+    """One character from each class of characters that share a kernel,
+    for a group whose basis has these orders: (d, phi(d), exponents).
+
+    A character sends basis element b_i to exp(2 pi i a_i / orders[i]);
+    its order d is the lcm of orders[i] / gcd(a_i, orders[i]), and in
+    terms of a primitive d-th root of unity its exponents are
+    a_i d / orders[i].  Its class is the phi(d) characters u a with u
+    prime to d, which generate the same cyclic group of characters.
+    """
+    classes, seen = [], set()
+    for a in itertools.product(*map(range, orders)):
+        if a in seen:
+            continue
+        d = math.lcm(*(o // math.gcd(x, o) for x, o in zip(a, orders)))
+        units = [u for u in range(1, d + 1) if math.gcd(u, d) == 1]
+        seen.update(tuple(u * x % o for x, o in zip(a, orders)) for u in units)
+        classes.append((d, len(units), tuple(x * d // o for x, o in zip(a, orders))))
+    return tuple(classes)
+
+
+@cache
+def _cyclotomic(d):
+    """Phi_d as its degree and its nonzero terms (j, coefficient of x^j):
+    x^d - 1 divided by every Phi_e with e a proper divisor of d."""
+    poly = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            poly = _divide(poly, *_cyclotomic(e))
+    return len(poly) - 1, tuple((j, a) for j, a in enumerate(poly) if a)
+
+
+def _divide(poly, degree, terms):
+    """Divide poly, a coefficient list lowest first, by the monic
+    polynomial of that degree and those nonzero terms: poly is left
+    holding the remainder, and the quotient is returned."""
+    quotient = [0] * max(len(poly) - degree, 0)
+    for top in range(len(poly) - 1, degree - 1, -1):
+        c = poly[top]
+        if c:
+            quotient[top - degree] = c
+            for j, a in terms:
+                poly[top - degree + j] -= c * a
+    return quotient

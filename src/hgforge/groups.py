@@ -1,11 +1,15 @@
-"""Finite abelian groups: enumeration, Cayley tables, canonical forms.
+"""Finite abelian groups: enumeration, Cayley tables, bases, canonical forms.
 
 Groups are handled in two interchangeable forms.  The compact form is
 the invariant-factor list (d_1, ..., d_m) with d_1 | d_2 | ... | d_m and
 product n, which names each isomorphism class exactly once.  The
 concrete form is a 1-based Cayley table with the identity at state 1.
-canonical_form maps a table back to its class via the multiset of
-element orders, which separates abelian groups completely.
+A table computes, once and on first use, a basis of cyclic factors of
+prime-power order together with every state's coordinates over it
+(CayleyTable.basis), in O(n (p + e^2)) table lookups for each prime
+power p^e that divides n exactly.
+canonical_form reads the invariant factors off the basis orders, and
+derivation.mixture_rank reads the group's characters off the coordinates.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 DEFAULT_ORDER_CAP = 256
 
@@ -45,13 +50,6 @@ class InvariantFactors:
     @property
     def order(self) -> int:
         return math.prod(self.factors)
-
-    def element_orders(self):
-        """Multiset of element orders, computed without building a table."""
-        orders = []
-        for combo in itertools.product(*(range(d) for d in self.factors)):
-            orders.append(math.lcm(*(d // math.gcd(d, t) for d, t in zip(self.factors, combo))))
-        return sorted(orders) if orders else [1]
 
 
 def _partitions(total):
@@ -101,27 +99,23 @@ def enumerate_abelian_groups(n) -> list[InvariantFactors]:
         raise ValueError(f"group order must be positive, got {n}")
     if n > DEFAULT_ORDER_CAP:
         raise ValueError(f"group order {n} exceeds the enumeration cap {DEFAULT_ORDER_CAP}")
-    return _abelian_groups(n)
-
-
-def _abelian_groups(n) -> list[InvariantFactors]:
-    """enumerate_abelian_groups for any positive n, with no cap."""
-    primes = sorted(_factorize(n).items())
-    per_prime = [[(p, part) for part in _partitions(e)] for p, e in primes]
-    groups = []
-    for combo in itertools.product(*per_prime):
-        width = max((len(part) for _, part in combo), default=0)
-        factors = []
-        for slot in range(width):
-            d = 1
-            for p, part in combo:
-                if slot < len(part):
-                    d *= p ** part[slot]
-            factors.append(d)
-        # parts are stored descending, so reversing gives the divisibility chain
-        groups.append(InvariantFactors(tuple(reversed(factors))))
+    per_prime = [[[p**k for k in part] for part in _partitions(e)] for p, e in sorted(_factorize(n).items())]
+    groups = [_invariant_factors(combo) for combo in itertools.product(*per_prime)]
     groups.sort(key=lambda g: g.factors, reverse=True)
     return groups
+
+
+def _invariant_factors(primary) -> InvariantFactors:
+    """The invariant factors of a product of cyclic groups of prime-power
+    order, given for each prime as the descending list of its orders.
+
+    Factor s from the top is the product of each prime's s-th largest
+    order: the top one takes every prime's largest, and so on down, so
+    each factor divides the next.
+    """
+    width = max(map(len, primary), default=0)
+    top_down = [math.prod(orders[s] for orders in primary if s < len(orders)) for s in range(width)]
+    return InvariantFactors(tuple(reversed(top_down)))
 
 
 def _generators(table):
@@ -255,12 +249,86 @@ class CayleyTable:
             raise InvalidTable(f"declared {self.n} states but table has {len(self.rows)} rows")
         verify_group_axioms(self.rows)
 
-    def element_order(self, i) -> int:
-        power, order = i, 1
-        while power != 1:
-            power = self.rows[power - 1][i - 1]
-            order += 1
-        return order
+    @cached_property
+    def basis(self):
+        """A basis of cyclic factors of prime-power order, and each state's
+        coordinates over it: the pair (orders, coordinates).
+
+        orders[i] is the order of basis element b_i, a prime power; the
+        orders of one prime come together, largest first, and the primes
+        ascend.  coordinates[s - 1] is the tuple c with state s equal to
+        b_1^c_1 ... b_m^c_m and 0 <= c_i < orders[i].  Coordinates add
+        under the group product, each modulo its order; the identity's are
+        all 0, and the trivial group has the empty basis.  Computed on first
+        use and kept, so canonical_form and derivation.mixture_rank share
+        one basis per table.
+
+        Built one prime p at a time, inside the states of p-power order
+        (_primary_basis), then combined: a state is the product of its
+        p-parts, one per prime, and its coordinates are theirs side by side.
+        """
+        rows = self.rows
+        orders = []
+        coordinates = {1: ()}
+        for p, e in sorted(_factorize(self.n).items()):
+            primary_orders, primary = _primary_basis(rows, p, e)
+            orders += primary_orders
+            coordinates = {rows[g - 1][h - 1]: cg + ch for g, cg in coordinates.items() for h, ch in primary.items()}
+        return tuple(orders), tuple(coordinates[s] for s in range(1, self.n + 1))
+
+
+def _primary_basis(rows, p, e):
+    """The greedy basis of the states whose order divides p**e, in a
+    group table of order n with p**e the largest power of p dividing n:
+    its orders, and a map from each of those states to its coordinates.
+
+    Let H be the span of the basis b_1 ... b_m chosen so far.  Take the
+    first state x whose order modulo H is largest, say q = p^k, and write
+    x^q as b_1^c_1 ... b_m^c_m.  Then q divides every c_i, from i = m
+    down.  Modulo the span of b_1 ... b_(i-1), every state has order at
+    most q_i, the order of b_i (orders modulo a growing span never rise,
+    so q_i >= q).  There y = x times the b_j^(-c_j/q) with j > i, whose
+    c_j are already known to be multiples of q, has y^q = b_i^c_i, so
+    b_i^(c_i q_i / q) = y^(q_i) lies in that span, which b_i meets only in
+    the identity: q_i divides c_i q_i / q.  The corrected b = x times
+    the inverse of b_1^(c_1/q) ... b_m^(c_m/q) has b^q = 1 and meets H in
+    the identity alone, so H times <b> is a direct product with q times as
+    many states.  The cost is n (p - 1) lookups for the p-th powers, then
+    at most e steps of O(e) lookups for each state of p-power order.
+    """
+    pth_power = [0] * (len(rows) + 1)  # state x -> x^p, 1-based
+    for x in range(1, len(rows) + 1):
+        y = x
+        for _ in range(p - 1):
+            y = rows[y - 1][x - 1]
+        pth_power[x] = y
+    primary = []
+    for x in range(1, len(rows) + 1):
+        y = x
+        for _ in range(e):
+            y = pth_power[y]
+        if y == 1:
+            primary.append(x)
+    orders = []
+    span = {1: ()}  # state of H -> its coordinates
+    while len(span) < len(primary):
+        q = 1
+        for candidate in primary:
+            power, k = candidate, 1
+            while power not in span:
+                power, k = pth_power[power], k * p
+            if k > q:
+                q, x, x_q = k, candidate, power
+        at = {c: s for s, c in span.items()}
+        b = rows[x - 1][at[tuple(-c // q % o for c, o in zip(span[x_q], orders))] - 1]
+        orders.append(q)
+        grown, b_j = {}, 1
+        for j in range(q):
+            for h, c in span.items():
+                grown[rows[h - 1][b_j - 1]] = c + (j,)
+            b_j = rows[b_j - 1][b - 1]
+        span = grown
+    return orders, span
 
 
 def cayley_table(factors: InvariantFactors) -> CayleyTable:
@@ -285,12 +353,13 @@ def cayley_table(factors: InvariantFactors) -> CayleyTable:
 
 
 def canonical_form(table: CayleyTable) -> InvariantFactors:
-    """Invariant factors of a validated table, via element orders.
+    """Invariant factors of a validated table, read off its basis.
 
-    The multiset of element orders determines a finite abelian group up
-    to isomorphism, so matching it against each candidate class of the
-    same order identifies the table's class exactly.
+    The basis (CayleyTable.basis) splits the group into cyclic factors of
+    prime-power order, so its orders are the group's elementary divisors,
+    which name its class exactly; _invariant_factors assembles them into
+    the divisibility chain.  No candidate class is built or compared, so
+    the cost is the basis's, shared with derivation.mixture_rank.
     """
-    observed = sorted(table.element_order(i) for i in range(1, table.n + 1))
-    candidates = _abelian_groups(table.n)
-    return next(c for c in candidates if c.element_orders() == observed)
+    primary = itertools.groupby(table.basis[0], key=lambda q: min(_factorize(q)))
+    return _invariant_factors([list(orders) for _, orders in primary])

@@ -11,13 +11,19 @@ re-derive the cube from that pair and compare it with the input.
 A cube the read-off certifies is derived from an abelian group, so it is
 commutative and associative, and each of its columns is one of plane
 1's.  Plane 1 read as rows is the transpose of the mixture matrix M, and
-every left and right action of a derived cube is G_i M, so the rank of
-plane 1 settles condition (A) without running the O(n^5) associativity
-scan.  Any other cube runs the commutativity, associativity (matrix
-route) and condition (A) gates, and a cube that passes them all gets the
-read-off's rejection.  Every reason, witness and detail is the one the
-gates alone would give.  All steps decide on the cube's integer planes
-(see core.StructureCube).
+every left and right action of a derived cube is G_i M, so the rank of M
+settles condition (A) without running the O(n^5) associativity scan.
+That rank comes from the certified group's characters
+(derivation.mixture_rank) over the table's basis, which canonical_form
+reads too: one pass over column (1, 1) per class of characters, in ints
+of about its width, where an elimination on plane 1 costs O(n^3)
+operations on entries that grow as it goes.  Any other cube runs the
+commutativity, associativity (matrix route) and condition (A) gates, and
+a cube that passes them all gets the read-off's rejection; its condition
+(A) gate, satisfies_condition_A, keeps the Bareiss elimination, since
+such a cube has no group to take characters of.  Every reason, witness
+and detail is the one the gates alone would give.  All steps decide on
+the cube's integer planes (see core.StructureCube).
 
 A successful result is never taken on faith: the candidate pair is fed
 back through the forward construction and the rebuilt cube must equal
@@ -34,7 +40,6 @@ from .core import (
     StructureCube,
     ValidationError,
     rat,
-    rational_rank,
     validate_cube,
 )
 from .checks import (
@@ -44,7 +49,7 @@ from .checks import (
     is_commutative,
     satisfies_condition_A,
 )
-from .derivation import derive_cube
+from .derivation import derive_cube, mixture_rank
 from .groups import CayleyTable, InvalidTable, InvariantFactors, canonical_form
 
 FAILS_VALIDATION = "fails-validation"
@@ -166,7 +171,8 @@ def recover(cube) -> RecoveryResult:
       commutativity     not-commutative       (met by a certified cube)
       associativity     not-associative       (met by a certified cube)
       condition (A)     fails-condition-a     (a certified cube: the rank
-                                              of plane 1, no scan)
+                                              of its mixture matrix, from
+                                              the group's characters)
       column matching   column-match-failure  (the read-off's result)
       group axioms      group-axiom-failure
       certification     round-trip-mismatch
@@ -186,7 +192,7 @@ def recover(cube) -> RecoveryResult:
     n = cube.n
     result = _read_off(cube)
     if result.recovered:
-        ranks = (rational_rank(cube.planes[0]),) * n
+        ranks = (mixture_rank(result.table, cube.planes[0][0]),) * n
         condition = ConditionAReport(n, n, ranks, ranks)
     else:
         commutative = is_commutative(cube, 1)

@@ -62,9 +62,13 @@ MUTANTS = (
         "hgforge/checks.py",
         "                rhs = mixed[r]\n"
         "                if rhs is None:\n"
+        "                    if packed_rows[r] is None:\n"
+        "                        packed_rows[r] = [packed(k)[r] for k in range(n)]\n"
         "                    rhs = mixed[r] =",
         "                rhs = mixed[0]\n"
         "                if rhs is None:\n"
+        "                    if packed_rows[r] is None:\n"
+        "                        packed_rows[r] = [packed(k)[r] for k in range(n)]\n"
         "                    rhs = mixed[0] =",
         (
             "tests/test_checks.py::TestMatrixSharing::test_shared_values_match_fraction_oracle",
@@ -102,6 +106,70 @@ MUTANTS = (
             "tests/test_checks.py::TestSlotWidth::test_entries_equal_to_d_squared[1000000]",
             "tests/test_checks.py::TestMatrixSharing::test_shared_values_match_fraction_oracle",
         ),
+    ),
+    # the matrix route's packs, one per distinct action row
+    Mutant(
+        "every action row packed again",
+        "hgforge/checks.py",
+        "                if p is None:\n",
+        "                if True:\n",
+        ("tests/test_checks.py::TestMatrixWork::test_derived_cube_forms_each_product_once[8]",),
+    ),
+    Mutant(
+        "packs kept across calls",
+        "hgforge/checks.py",
+        "    packs = {}\n",
+        '    packs = _matrix_violations.__dict__.setdefault("packs", {})\n',
+        (
+            "tests/test_checks.py::TestMatrixSharing::test_shared_values_match_fraction_oracle",
+            "tests/test_checks.py::TestMatrixSharing::test_equal_rows_over_different_denominators_back_to_back",
+        ),
+    ),
+    # the mixture rank from the characters (derivation.mixture_rank) and
+    # the table basis it reads (groups._primary_basis)
+    Mutant(
+        "reduced modulo x^d - 1 in place of Phi_d",
+        "hgforge/derivation.py",
+        "        _divide(pushed, *_cyclotomic(d))\n",
+        "        _divide(pushed, d, ((0, -1), (d, 1)))\n",
+        (
+            "tests/test_derivation.py::TestMixtureRank::test_matches_fraction_oracle_on_every_group_up_to_32",
+            "tests/test_derivation.py::TestMixtureRank::test_pinned_ranks",
+            "tests/test_recovery.py::TestCertifyFirst::test_singular_mixture_with_distinct_columns_fails_condition_a",
+        ),
+    ),
+    Mutant(
+        "one per class in place of phi(d)",
+        "hgforge/derivation.py",
+        "            rank += phi\n",
+        "            rank += 1\n",
+        (
+            "tests/test_derivation.py::TestMixtureRank::test_pinned_ranks",
+            "tests/test_derivation.py::TestMixtureRank::test_matches_fraction_oracle_on_every_group_up_to_32",
+            "tests/test_recovery.py::TestCertifyFirst::test_singular_mixture_with_distinct_columns_fails_condition_a",
+        ),
+    ),
+    Mutant(
+        "greedy basis element left uncorrected",
+        "hgforge/groups.py",
+        "        b = rows[x - 1][at[tuple(-c // q % o for c, o in zip(span[x_q], orders))] - 1]\n",
+        "        b = x\n",
+        (
+            "tests/test_groups.py::TestBasis::test_greedy_pick_that_needs_the_correction",
+            "tests/test_groups.py::TestBasis::test_coordinates_are_an_isomorphism_on_relabelled_tables",
+            "tests/test_derivation.py::TestMixtureRank::test_matches_fraction_oracle_on_every_group_up_to_32",
+        ),
+    ),
+    Mutant(
+        "kernel vector sought on every pair",
+        "hgforge/derivation.py",
+        "    if mixture_rank(table, _cleared_rows([values])[0]) == table.n:\n"
+        "        return DegeneracyVerdict(NON_DEGENERATE)\n"
+        "    kernel = RationalMatrix(tuple(zip(*translates))).kernel_vector()\n",
+        "    kernel = RationalMatrix(tuple(zip(*translates))).kernel_vector()\n"
+        "    if kernel is None:\n"
+        "        return DegeneracyVerdict(NON_DEGENERATE)\n",
+        ("tests/test_derivation.py::TestMixtureRank::test_only_a_singular_pair_is_eliminated",),
     ),
     # recorded by earlier changes
     Mutant(

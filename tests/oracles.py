@@ -6,6 +6,7 @@ different elimination, different enumeration.  Slow is fine; these run
 at small n.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -305,6 +306,65 @@ def first_nonassociative_triple(rows):
         if left != right:
             return a, b, c, left, right
     return None
+
+
+def relabel_table(rows, perm):
+    """A 1-based group table under a permutation of its states: perm[i-1]
+    is the new label of old state i.  Keeping perm[0] == 1 keeps the
+    identity at state 1."""
+    n = len(rows)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[perm[i] - 1][perm[j] - 1] = perm[rows[i][j] - 1]
+    return out
+
+
+def element_orders(factors):
+    """Sorted multiset of element orders of Z_{d_1} x ... x Z_{d_m},
+    without a table: a tuple t has order lcm over i of d_i / gcd(d_i, t_i)."""
+    return sorted(
+        math.lcm(*(d // math.gcd(d, t) for d, t in zip(factors, combo)))
+        for combo in itertools.product(*(range(d) for d in factors))
+    )
+
+
+def table_element_orders(rows):
+    """Sorted multiset of element orders of a 1-based group table whose
+    identity is state 1, by multiplying each state by itself until the
+    identity comes back."""
+    orders = []
+    for g in range(1, len(rows) + 1):
+        power, order = g, 1
+        while power != 1:
+            power, order = rows[power - 1][g - 1], order + 1
+        orders.append(order)
+    return sorted(orders)
+
+
+def factor_chains(n):
+    """Every chain (d_1, ..., d_m) with 2 <= d_1, each d_i dividing the
+    next, and product n, by trying every divisor in turn: one chain per
+    abelian group of order n."""
+    chains = []
+
+    def extend(chain, rest):
+        if rest == 1:
+            chains.append(tuple(chain))
+            return
+        for d in range(chain[-1] if chain else 2, rest + 1, chain[-1] if chain else 1):
+            if rest % d == 0:
+                extend(chain + [d], rest // d)
+
+    extend([], n)
+    return chains
+
+
+def oracle_canonical_form(rows):
+    """The chain of factor_chains whose element orders are the table's:
+    the multiset of element orders separates finite abelian groups."""
+    observed = table_element_orders(rows)
+    return next(chain for chain in factor_chains(len(rows)) if element_orders(chain) == observed)
 
 
 def relabel_cube(entries, perm):

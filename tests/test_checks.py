@@ -452,20 +452,28 @@ class TestMatrixSharing:
             )
 
 
-def _counted_multiplications(cube, monkeypatch):
-    """The matrix route's report and its int multiplications, counted
-    through checks.mul, which it maps over every product it forms."""
-    count = 0
+def _counted_work(cube, monkeypatch):
+    """The matrix route's report, its int multiplications, counted
+    through checks.mul, which it maps over every product it forms, and
+    its calls of checks._pack."""
+    count, packs = 0, 0
+    pack = checks._pack
 
     def counted(a, b):
         nonlocal count
         count += 1
         return a * b
 
+    def counted_pack(values, w):
+        nonlocal packs
+        packs += 1
+        return pack(values, w)
+
     with monkeypatch.context() as patch:
         patch.setattr(checks, "mul", counted)
+        patch.setattr(checks, "_pack", counted_pack)
         report = is_associative_matrix(cube)
-    return report, count
+    return report, count, packs
 
 
 class TestMatrixWork:
@@ -473,14 +481,15 @@ class TestMatrixWork:
     @pytest.mark.parametrize("n", [8, 16, 24])
     def test_derived_cube_forms_each_product_once(self, n, monkeypatch):
         # n distinct rows and columns, each with s nonzero entries: n**2
-        # products of s multiplications a side
+        # products of s multiplications a side, and one pack per row
         rng = random.Random(n)
         for support in (1, 3, 5):
             cube = _support_cube(rng, n, support)
             assert len(set(_action_rows(cube))) == len({col for plane in cube.planes for col in plane}) == n
-            report, count = _counted_multiplications(cube, monkeypatch)
+            report, count, packs = _counted_work(cube, monkeypatch)
             assert report.holds
             assert count == 2 * support * n * n
+            assert packs == n
 
     def test_cube_that_repeats_nothing_does_the_unshared_work(self, monkeypatch):
         # every lookup misses, so the count is the unshared scan's, as
@@ -492,9 +501,11 @@ class TestMatrixWork:
             cube = validate_cube([[_random_column(rng, n) for _ in range(n)] for _ in range(n)])
             columns = [col for plane in cube.planes for col in plane]
             assert len(set(columns)) == len(columns) == len(set(_action_rows(cube)))
-            report, count = _counted_multiplications(cube, monkeypatch)
+            report, count, packs = _counted_work(cube, monkeypatch)
             assert report.violation_count == oracle_associativity(cube.entries)["associative-matrix"][0]
             counts.append(count)
+            # every row of every action is read, and each is packed once
+            assert packs == n * n
         assert counts == [226, 1345]
 
 

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from hgforge import (
+    CayleyTable,
     DimensionMismatch,
     InvariantFactors,
     RationalMatrix,
@@ -22,13 +24,17 @@ from hgforge import (
     validate_cube,
     validate_measure,
 )
+from hgforge.derivation import mixture_rank
 from oracles import (
     assert_canonical_kernel,
     cofactor_det,
+    fraction_rank,
+    index_two_measure,
     left_action,
     matmul,
     oracle_derive,
     oracle_mixture,
+    relabel_table,
     subgroup_element_sets,
     translation_matrices,
     uniform_on_subgroup,
@@ -41,6 +47,18 @@ def _point_mass(n):
 
 def _matrix(rows):
     return RationalMatrix(tuple(tuple(Fraction(x) for x in row) for row in rows))
+
+
+def _relabelled(rng, factors):
+    rows = cayley_table(factors).rows
+    n = len(rows)
+    return CayleyTable(n, relabel_table(rows, [1] + rng.sample(range(2, n + 1), n - 1)))
+
+
+def _index_two_tables():
+    # the groups of order 2-12 whose squares form an index-2 subgroup
+    tables = [cayley_table(f) for n in range(2, 13, 2) for f in enumerate_abelian_groups(n)]
+    return [t for t in tables if 2 * len({t.rows[s][s] for s in range(t.n)}) == t.n]
 
 
 class TestMixtureMatrix:
@@ -268,3 +286,76 @@ class TestDegeneracy:
     def test_single_state_never_degenerate(self):
         table = cayley_table(InvariantFactors(()))
         assert not degeneracy_check(table, _point_mass(1)).degenerate
+
+
+class TestMixtureRank:
+    """The rank of the mixture matrix from the group's characters."""
+
+    def test_matches_fraction_oracle_on_every_group_up_to_32(self):
+        # random labels (identity kept at state 1) and measures on a 0..3
+        # grid, many of them singular in more than one class
+        rng = random.Random(32)
+        deficits = set()
+        for n in range(1, 33):
+            for factors in enumerate_abelian_groups(n):
+                table = _relabelled(rng, factors)
+                for _ in range(2 if n <= 16 else 1):
+                    values = [0] * n
+                    while not any(values):
+                        values = [rng.randint(0, 3) for _ in range(n)]
+                    expected = fraction_rank(oracle_mixture(table.rows, values))
+                    assert mixture_rank(table, values) == expected, (factors, table.rows, values)
+                    deficits.add(n - expected)
+        assert min(deficits) == 0 and len(deficits) >= 4 and max(deficits) >= 4
+
+    def test_pinned_ranks(self):
+        # (1/2, 1/4, 0, 1/4) on Z4: only the order-2 character vanishes
+        assert mixture_rank(cayley_table((4,)), [2, 1, 0, 1]) == 3
+        # uniform on the Z2 inside Z6, {0, 3}: the characters trivial on
+        # it, of orders 1 and 3, survive
+        assert mixture_rank(cayley_table((6,)), [1, 0, 0, 1, 0, 0]) == 3
+        assert mixture_rank(cayley_table((2, 2)), [1, 1, 1, 1]) == 1
+        assert mixture_rank(cayley_table(()), [7]) == 1
+
+    def test_index_two_measure_loses_one(self):
+        rng = random.Random(2)
+        for table in _index_two_tables():
+            values = index_two_measure(rng, table.rows)
+            scale = math.lcm(*(q.denominator for q in values))
+            assert mixture_rank(table, [int(q * scale) for q in values]) == table.n - 1
+            # on Z2 the measure is (1/2, 1/2), whose translates repeat
+            verdict = degeneracy_check(table, validate_measure(values))
+            assert verdict.kind == ("repeated-translates" if table.n == 2 else "singular-mixture")
+
+    def test_does_not_depend_on_the_scale(self):
+        table = _relabelled(random.Random(5), (2, 6))
+        values = [3, 0, 1, 0, 0, 2, 1, 0, 0, 0, 0, 1]
+        assert {mixture_rank(table, [c * x for x in values]) for c in (1, 7, -2, 10**40)} == {
+            fraction_rank(oracle_mixture(table.rows, values))
+        }
+
+    def test_dimension_mismatch(self, z2_table):
+        with pytest.raises(DimensionMismatch):
+            mixture_rank(z2_table, [1, 0, 0])
+
+    def test_only_a_singular_pair_is_eliminated(self, monkeypatch):
+        # degeneracy_check asks the characters first; the canonical kernel
+        # vector is computed only for a pair they found singular
+        eliminated = []
+        kernel_vector = RationalMatrix.kernel_vector
+
+        def counted(matrix):
+            eliminated.append(matrix)
+            return kernel_vector(matrix)
+
+        monkeypatch.setattr(RationalMatrix, "kernel_vector", counted)
+        rng = random.Random(12)
+        pairs = [(t, validate_measure(index_two_measure(rng, t.rows))) for t in _index_two_tables()]
+        pairs += [(cayley_table(f), random_measure(rng, n)) for n in range(1, 11) for f in enumerate_abelian_groups(n)]
+        kinds = set()
+        for table, measure in pairs:
+            eliminated.clear()
+            verdict = degeneracy_check(table, measure)
+            assert len(eliminated) == (verdict.kind == "singular-mixture")
+            kinds.add(verdict.kind)
+        assert kinds == {"non-degenerate", "repeated-translates", "singular-mixture"}

@@ -15,12 +15,16 @@ from hgforge import (
     enumerate_abelian_groups,
     verify_group_axioms,
 )
-from hgforge.groups import _abelian_groups, _generators
+from hgforge.groups import _generators
 from oracles import (
+    element_orders,
     first_nonassociative_triple,
     matmul,
+    oracle_canonical_form,
     partition_count,
+    relabel_table,
     search_nonassociative_loop,
+    table_element_orders,
     translation_matrices,
 )
 
@@ -43,9 +47,12 @@ class TestInvariantFactors:
             InvariantFactors((1, 2))
 
     def test_element_orders(self):
-        assert InvariantFactors((2, 2)).element_orders() == [1, 2, 2, 2]
-        assert InvariantFactors((4,)).element_orders() == [1, 2, 4, 4]
-        assert InvariantFactors(()).element_orders() == [1]
+        # the oracle that canonical_form is checked against
+        assert element_orders((2, 2)) == [1, 2, 2, 2]
+        assert element_orders((4,)) == [1, 2, 4, 4]
+        assert element_orders(()) == [1]
+        for factors in [(), (2, 2), (4,), (2, 6), (3, 3, 9)]:
+            assert table_element_orders(cayley_table(factors).rows) == element_orders(factors)
 
 
 class TestEnumeration:
@@ -83,8 +90,8 @@ class TestEnumeration:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             enumerate_abelian_groups(257)
-        # canonical_form enumerates past the cap through the private helper
-        assert [g.order for g in _abelian_groups(300)] == [300] * 4
+        # canonical_form reads a table's class past the cap, from its basis
+        assert canonical_form(cayley_table((2, 150))).factors == (2, 150)
 
     def test_positive_order_required(self):
         with pytest.raises(ValueError):
@@ -102,7 +109,8 @@ class TestCayleyTable:
     def test_z4_has_order_four_element(self):
         table = cayley_table(InvariantFactors((4,)))
         assert table.rows[1][1] == 3
-        assert table.element_order(2) == 4
+        assert table_element_orders(table.rows) == [1, 2, 4, 4]
+        assert table.basis == ((4,), ((0,), (1,), (2,), (3,)))
 
     def test_identity_at_state_one(self):
         for n in (1, 2, 3, 4, 6, 8):
@@ -367,9 +375,65 @@ class TestCanonicalForm:
             assert canonical_form(CayleyTable(6, tuple(map(tuple, relabelled)))).factors == (6,)
 
     def test_order_multiset_separates_same_order_classes(self):
-        # all eleven classes of order 64 have distinct order multisets
-        orders = [tuple(f.element_orders()) for f in enumerate_abelian_groups(64)]
+        # all eleven classes of order 64 have distinct order multisets,
+        # which is what makes the oracle below exact
+        orders = [tuple(element_orders(f.factors)) for f in enumerate_abelian_groups(64)]
         assert len(set(orders)) == len(orders)
+
+    def test_matches_element_order_oracle_relabelled(self):
+        rng = random.Random(64)
+        for n in range(1, 65):
+            for factors in enumerate_abelian_groups(n):
+                rows = cayley_table(factors).rows
+                for _ in range(2):
+                    table = CayleyTable(n, relabel_table(rows, [1] + rng.sample(range(2, n + 1), n - 1)))
+                    assert canonical_form(table).factors == oracle_canonical_form(table.rows) == factors.factors
+
+
+def _prime_of(q):
+    return next(p for p in range(2, q + 1) if q % p == 0)
+
+
+class TestBasis:
+    """CayleyTable.basis: cyclic factors of prime-power order, and
+    coordinates that carry the table's product to addition."""
+
+    def test_coordinates_are_an_isomorphism_on_relabelled_tables(self):
+        # random labels make the greedy pick elements whose powers land
+        # inside the span so far, so the correction is exercised
+        rng = random.Random(97)
+        for n in range(1, 49):
+            for factors in enumerate_abelian_groups(n):
+                rows = cayley_table(factors).rows
+                for _ in range(2):
+                    table = CayleyTable(n, relabel_table(rows, [1] + rng.sample(range(2, n + 1), n - 1)))
+                    orders, coordinates = table.basis
+                    assert math.prod(orders) == n and len(set(coordinates)) == n
+                    assert coordinates[0] == (0,) * len(orders)
+                    primes = [_prime_of(q) for q in orders]
+                    # q is a power of its smallest prime p exactly when q divides p**q
+                    assert all(p**q % q == 0 for p, q in zip(primes, orders))
+                    assert primes == sorted(primes)
+                    for p in set(primes):
+                        run = [q for q, r in zip(orders, primes) if r == p]
+                        assert run == sorted(run, reverse=True)
+                    for a in range(n):
+                        for b in range(n):
+                            total = tuple((x + y) % q for x, y, q in zip(coordinates[a], coordinates[b], orders))
+                            assert coordinates[table.rows[a][b] - 1] == total
+
+    def test_greedy_pick_that_needs_the_correction(self):
+        # Z2 x Z4 labelled so that the first state of order 2 modulo <b_1>
+        # is (1, 1), of order 4: its square (0, 2) = b_1^2 lies in the span,
+        # and only b = (1, 1) b_1^-1 = (1, 0) meets it in the identity
+        rows = cayley_table((2, 4)).rows  # state 1 + 4a + c is (a, c)
+        perm = [1, 2, 5, 6, 7, 3, 4, 8]  # (1, 1), old state 6, becomes state 3
+        table = CayleyTable(8, relabel_table(rows, perm))
+        assert table.basis[0] == (4, 2)
+        assert canonical_form(table).factors == (2, 4)
+        b_1, b_2 = (table.basis[1].index(unit) + 1 for unit in ((1, 0), (0, 1)))
+        assert table.rows[b_2 - 1][b_2 - 1] == 1 and b_2 != 3
+        assert table.rows[b_1 - 1][b_1 - 1] == table.rows[2][2]
 
 
 def test_groups_imports_nothing_from_checks():

@@ -562,3 +562,31 @@ class TestCertifyFirst:
             assert result.table == table
             assert result.measure == measure
             assert result.factors == factors
+
+
+def _half_off_a_subgroup(rng, table, factors):
+    """A measure with half its mass on the index-2 subgroup of states
+    whose first coordinate is even (the first factor is even and most
+    significant in cayley_table's labels) and half off it, with 40-bit
+    weights: its order-2 character vanishes, and no other does."""
+    n, first = table.n, factors[0]
+    inside = [(s - 1) // (n // first) % 2 == 0 for s in range(1, n + 1)]
+    weights = [rng.randint(1, 2**40) for _ in range(n)]
+    totals = {side: 2 * sum(w for w, at in zip(weights, inside) if at == side) for side in (True, False)}
+    return [rat(w, totals[at]) for w, at in zip(weights, inside)]
+
+
+@pytest.mark.parametrize("factors", [(128,), (2,) * 7, (2,) * 8], ids=["Z128", "Z2^7", "Z2^8"])
+def test_large_certified_cubes(factors):
+    # condition (A) of a certified cube comes from the characters: an
+    # elimination on plane 1 took seconds at n = 128 and minutes at 256
+    table = cayley_table(factors)
+    n = table.n
+    rng = random.Random(n)
+    measure = random_nondegenerate_measure(rng, table)
+    result = recover(derive_cube(table, measure))
+    assert (result.table, result.measure, result.factors.factors) == (table, measure, factors)
+    result = recover(derive_cube(table, _half_off_a_subgroup(rng, table, factors)))
+    assert result.reason == "fails-condition-a"
+    ranks = [n - 1] * n
+    assert result.detail == f"{n} distinct columns of {n}; left ranks {ranks}, right ranks {ranks}"
