@@ -6,16 +6,22 @@ in a deterministic scan order.  Associativity is decided by two
 independent routes on purpose - a matrix identity and a brute-force
 triple scan - so each can catch a bug in the other.
 
-Every check decides on the cube's integer planes, the entries times the
-common denominator D (see core.StructureCube): columns and multisets are
-compared as int tuples, which D > 0 leaves in the same order, and ranks
-are taken on int rows.  The associativity routes and the product-columns
-corollary compare sides that are bilinear in the entries, so they scale
-by D**2 on both sides.  Every entry of such a side lies in [0, D**2], so
-the matrix route and product-columns pack each row or column of a side
-into one int, w = (D*D).bit_length() bits a slot, with no carry between
-slots (Kronecker substitution; see _matrix_violations).  The matrix
-route also computes each side once per distinct value it depends on:
+Every check decides on the cube's stored form (see core.StructureCube):
+its distinct columns, the entries times the common denominator D, and the
+layout that names the column of each (i, j).  Equal columns have equal
+indices, so commutativity and the distinct count of condition (A) read
+the layout, ranks are keyed by sets of indices, and the corollaries sort
+and pack each distinct column once; no check finds equal columns itself.
+Multisets are compared as int tuples, which D > 0 leaves in the same
+order, and ranks are taken on int rows.  The associativity routes and
+the product-columns corollary compare sides that are bilinear in the
+entries, so they scale by D**2 on both sides.  Every entry of such a
+side lies in [0, D**2], so the matrix route and product-columns pack
+each row or column of a side into one int, w = (D*D).bit_length() bits a
+slot, with no carry between slots (Kronecker substitution; see
+_matrix_violations).  The matrix
+route also computes each side once per distinct value it depends on, a
+column by its index and an action row by value:
 (distinct rows + distinct columns) x n packed products plus n**3
 lookups, which is 2n**2 products on a derived cube and 2n**3 on a cube
 that repeats no row or column, and it packs each distinct action row
@@ -96,13 +102,14 @@ def _unscaled_vector(values, scale):
 
 
 def is_commutative(cube: StructureCube, witness_cap=DEFAULT_WITNESS_CAP) -> PropertyReport:
-    """Do states i and j produce the same column in both orders?"""
-    planes = cube.planes
+    """Do states i and j produce the same column in both orders?  Read off
+    the layout: equal columns have one index."""
+    columns, layout = cube.columns, cube.layout
     found = _Collector(witness_cap)
     for i in range(cube.n):
         for j in range(i + 1, cube.n):
-            if planes[i][j] != planes[j][i]:
-                found.add_scaled((i + 1, j + 1), planes[i][j], planes[j][i], cube.denominator)
+            if layout[i][j] != layout[j][i]:
+                found.add_scaled((i + 1, j + 1), columns[layout[i][j]], columns[layout[j][i]], cube.denominator)
     return found.report("commutative")
 
 
@@ -169,10 +176,13 @@ def _matrix_violations(cube: StructureCube):
 
     Each side is computed once per distinct value it depends on, within
     one call: the product row depends only on row r of L_i, by value, and
-    on j; the mix row only on the product column (i, j), by value, and on
-    r.  Each is computed the first time the scan reaches it and looked up
-    after that, and a row is keyed the first time the scan reaches it in
-    its plane, so a scan that stops early keys no more than it reads.
+    on j; the mix row only on the product column (i, j) and on r, and the
+    cube's layout already names that column by its index among the
+    distinct columns.  Each is computed the first time the scan reaches it
+    and looked up after that, and a row is keyed the first time the scan
+    reaches it in its plane, so a scan that stops early keys no more than
+    it reads.  Action rows are not columns of the cube, so they are still
+    keyed by value.
     Packing is shared the same way: the rows of an action are packed the
     first time a product reads that action or a mix reads any row index,
     and each distinct row once, by value, so a derived cube costs n packs
@@ -184,16 +194,16 @@ def _matrix_violations(cube: StructureCube):
     scan, in the same order.  is_associative_bruteforce shares nothing,
     on purpose.
     """
-    n, planes = cube.n, cube.planes
+    n, columns, layout = cube.n, cube.columns, cube.layout
     scale = cube.denominator**2
     w = scale.bit_length()
     mask = (1 << w) - 1
-    actions = [list(zip(*plane)) for plane in planes]
-    # by value, for this call only: a row's packed int, a row's nonzero
-    # entries and its products by L_j, a column's nonzero entries and its
-    # mixes of row r
+    actions = [list(zip(*plane)) for plane in cube.planes]
+    # for this call only: by value, a row's packed int, and a row's nonzero
+    # entries and its products by L_j; by column index, a column's nonzero
+    # entries and its mixes of row r
     packs = {}
-    products, mixes = {}, {}
+    products, mixes = {}, [None] * len(columns)
     # P[k], the rows of L_k packed, and P[.][r], row r of every L_k
     # packed, each built the first time a product or a mix reads it
     packed_actions, packed_rows = [None] * n, [None] * n
@@ -211,11 +221,11 @@ def _matrix_violations(cube: StructureCube):
 
     for i in range(n):
         rows_i, keyed = actions[i], [None] * n
-        for j in range(n):
-            mix = planes[i][j]
-            if mix not in mixes:
-                mixes[mix] = [q for q in mix if q], [None] * n
-            coeffs, mixed = mixes[mix]
+        for j, col in enumerate(layout[i]):
+            mix = columns[col]
+            if mixes[col] is None:
+                mixes[col] = [q for q in mix if q], [None] * n
+            coeffs, mixed = mixes[col]
             for r, row in enumerate(rows_i):
                 if keyed[r] is None:
                     if row not in products:
@@ -273,29 +283,30 @@ class ConditionAReport:
 def satisfies_condition_A(cube: StructureCube) -> ConditionAReport:
     """Exactly n distinct columns, and all action matrices of full rank.
 
-    The ranks are taken straight off the cube: plane i, read as rows, is
-    the transpose of the left action of state i, and the columns (j, i)
-    over j, read as rows, the transpose of its right action.  A transpose
-    has the same rank.  A rank depends only on the set of distinct rows,
-    since neither their order nor a repeated row changes the row space,
-    so each distinct row set, left or right, is ranked once.  On a
-    derived cube every such set is the n translates of the measure, and
-    the whole check costs one rank.  Each rank is a Bareiss elimination
-    (core.rational_rank), since a cube given here need not come from a
-    group; recover takes a certified cube's ranks from its group's
-    characters instead (derivation.mixture_rank).
+    The distinct columns are the cube's own (len(cube.columns)), and the
+    ranks are taken straight off it: plane i, read as rows, is the
+    transpose of the left action of state i, and the columns (j, i) over
+    j, read as rows, the transpose of its right action.  A transpose has
+    the same rank.  A rank depends only on the set of distinct rows, since
+    neither their order nor a repeated row changes the row space, so each
+    distinct row set, left or right, is ranked once, keyed by the set of
+    its column indices in the layout.  On a derived cube every such set is
+    the n translates of the measure, and the whole check costs one rank.
+    Each rank is a Bareiss elimination (core.rational_rank), since a cube
+    given here need not come from a group; recover takes a certified
+    cube's ranks from its group's characters instead
+    (derivation.mixture_rank).
     """
-    n, planes = cube.n, cube.planes
-    distinct = len({col for plane in planes for col in plane})
+    columns, layout = cube.columns, cube.layout
     ranks = {}
 
-    def rank(rows):
-        key = frozenset(rows)
+    def rank(indices):
+        key = frozenset(indices)
         if key not in ranks:
-            ranks[key] = rational_rank(rows)
+            ranks[key] = rational_rank([columns[c] for c in indices])
         return ranks[key]
 
-    return ConditionAReport(n, distinct, tuple(map(rank, planes)), tuple(map(rank, zip(*planes))))
+    return ConditionAReport(cube.n, len(columns), tuple(map(rank, layout)), tuple(map(rank, zip(*layout))))
 
 
 def check_corollaries(cube: StructureCube, witness_cap=DEFAULT_WITNESS_CAP) -> list[PropertyReport]:
@@ -313,16 +324,18 @@ def check_corollaries(cube: StructureCube, witness_cap=DEFAULT_WITNESS_CAP) -> l
                             through plane k matches its expansion through
                             the diagonal column of (k, k)
     """
-    n, common, planes = cube.n, cube.denominator, cube.planes
+    n, common, columns, layout, planes = cube.n, cube.denominator, cube.columns, cube.layout, cube.planes
+    # each distinct column sorted once here, and packed once below
+    sorted_columns = [tuple(sorted(col)) for col in columns]
 
-    base = tuple(sorted(planes[0][0]))
+    base = sorted_columns[0]
     contents = _Collector(witness_cap)
     for i in range(n):
         for j in range(n):
-            col = tuple(sorted(planes[i][j]))
+            col = sorted_columns[layout[i][j]]
             if col != base:
                 contents.add_scaled((i + 1, j + 1), base, col, common)
-    scalars = {x for plane in planes for col in plane for x in col}
+    scalars = {x for col in columns for x in col}
     if len(scalars) > n:
         contents.add((), f"at most {n} distinct values in the cube", f"{len(scalars)} distinct values")
     reports = [contents.report("column-contents")]
@@ -337,14 +350,13 @@ def check_corollaries(cube: StructureCube, witness_cap=DEFAULT_WITNESS_CAP) -> l
 
     rows_cols = _Collector(witness_cap)
     for i in range(n):
-        plane = planes[i]
-        base_i = tuple(sorted(plane[0]))
+        base_i = sorted_columns[layout[i][0]]
         for j in range(1, n):
-            col = tuple(sorted(plane[j]))
+            col = sorted_columns[layout[i][j]]
             if col != base_i:
                 rows_cols.add_scaled((i + 1, j + 1), base_i, col, common)
-        for r in range(n):
-            row = tuple(sorted(plane[c][r] for c in range(n)))
+        for r, row in enumerate(zip(*planes[i])):
+            row = tuple(sorted(row))
             if row != base_i:
                 rows_cols.add_scaled((i + 1, r + 1), base_i, row, common)
     reports.append(rows_cols.report("row-column-contents"))
@@ -353,14 +365,16 @@ def check_corollaries(cube: StructureCube, witness_cap=DEFAULT_WITNESS_CAP) -> l
     # and their columns are packed like the rows of _matrix_violations
     scale = common * common
     w = scale.bit_length()
-    packed = [[_pack(col, w) for col in plane] for plane in planes]
-    packed_at = [[packed[i][j] for i in range(n)] for j in range(n)]
+    packs = [_pack(col, w) for col in columns]
+    nonzero = [[q for q in col if q] for col in columns]
+    packed = [[packs[c] for c in row] for row in layout]
+    packed_at = list(zip(*packed))
     products = _Collector(witness_cap)
     for k in range(n):
         diag = planes[k][k]
-        diag_coeffs = [q for q in diag if q]
+        diag_coeffs = nonzero[layout[k][k]]
         for j in range(n):
-            coeffs = [q for q in planes[k][j] if q]
+            coeffs = nonzero[layout[k][j]]
             lhs = sum(map(mul, coeffs, compress(packed[k], planes[k][j])))
             rhs = sum(map(mul, diag_coeffs, compress(packed_at[j], diag)))
             if lhs != rhs:

@@ -10,16 +10,20 @@ State indices are 1-based in the public API and in every report; the
 underlying tuples are plain 0-based storage.
 
 A cube holds its entries once, as Python ints over one common
-denominator D (see StructureCube), and every predicate decides on those
-ints: column equality and multisets on int tuples, associativity on
-identities that scale by D**2.  Only scale_to_integers computes and
-bounds D, and derive_cube and _cube_from_columns, which validate_cube
-and the cube loader share, build every cube through it; an int scalar
-is used as it is, never wrapped.  The loading pass converts, scales and
-checks each distinct column once, and equal columns share one tuple, so
-a derived cube holds n column objects, not n**2.  fractions.Fraction, the
-package's only rational type, appears at the boundary only: parsing,
-measures, report text, documents, and StructureCube.entries and column().
+denominator D, and in one canonical form (see StructureCube): its
+distinct product columns, as int tuples in the order the scan (1, 1),
+(1, 2), ... first uses them, and an n*n layout of indices into them.
+Which columns are equal is decided here, once, by the two builders:
+_cube_from_columns, which validate_cube and the cube loader share, and
+derivation.derive_cube.  Every predicate reads the layout for column
+equality and decides the rest on the ints: multisets on int tuples,
+associativity on identities that scale by D**2.  Only scale_to_integers
+computes and bounds D, and both builders go through it; an int scalar is
+used as it is, never wrapped.  The loading pass converts, scales and
+checks each distinct column once, so a derived cube holds n column
+tuples, not n**2.  fractions.Fraction, the package's only rational type,
+appears at the boundary only: parsing, measures, report text, documents,
+and StructureCube.entries and column().
 Ranks and kernel vectors both come from one fraction-free (Bareiss)
 elimination on integer rows (see rational_rank and
 RationalMatrix.kernel_vector).
@@ -230,35 +234,47 @@ def scale_to_integers(values):
 class StructureCube:
     """Validated n*n*n cube of product coefficients, 0-based storage.
 
-    denominator is D, the lcm of the denominators of all entries, and
-    planes[i][j][k] is the Python int D * entry (i, j, k).  Column (i, j),
-    the product of states i+1 and j+1, is a nonnegative vector summing to
-    one, so planes[i][j] sums to D.  D and every int of planes have at
-    most MAX_OPERAND_DIGITS digits, so every witness over D**2 renders.
-    Two cubes are equal exactly when their entries are, since D is
-    determined by the entries.  Build instances with validate_cube or
-    derive_cube, which establish all of this (through scale_to_integers,
-    raising OperandBoundError past the bound); the constructor checks
-    nothing.  Equal columns of a validated cube are one shared tuple.
+    denominator is D, the lcm of the denominators of all entries.  columns
+    holds the distinct product columns, each the n ints D * entry (i, j,
+    k) over k, in the order the scan (1, 1), (1, 2), ... first uses them,
+    and layout[i][j] is the index into columns of the product column of
+    states i+1 and j+1.  Each column is a nonnegative vector summing to
+    one, so its ints sum to D, and D and every int have at most
+    MAX_OPERAND_DIGITS digits, so every witness over D**2 renders.
+
+    planes, entries and column() are views computed from those fields:
+    planes[i][j] is the tuple columns[layout[i][j]] itself, so planes holds
+    n*n references to len(columns) tuples, and entries nests Fractions
+    like planes.  D is determined by the entries, and the columns and the
+    layout by D and the entries once the order is fixed, so two cubes are
+    equal exactly when their entries are.  Build instances with
+    validate_cube or derive_cube, which establish all of this (through
+    scale_to_integers, raising OperandBoundError past the bound); the
+    constructor checks nothing.
     """
 
     n: int
     denominator: int
-    planes: tuple[tuple[tuple[int, ...], ...], ...]
+    columns: tuple[tuple[int, ...], ...]
+    layout: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def planes(self):
+        """The int product columns, nested plane by plane."""
+        columns = self.columns
+        return tuple(tuple(columns[c] for c in row) for row in self.layout)
 
     @cached_property
     def entries(self):
         """The entries as Fractions, nested like planes; each distinct value
         and each distinct column is built once and shared."""
-        columns = dict.fromkeys(col for plane in self.planes for col in plane)
-        values = {x: Fraction(x, self.denominator) for x in {x for col in columns for x in col}}
-        for col in columns:
-            columns[col] = tuple(values[x] for x in col)
-        return tuple(tuple(columns[col] for col in plane) for plane in self.planes)
+        values = {x: Fraction(x, self.denominator) for x in {x for col in self.columns for x in col}}
+        columns = [tuple(values[x] for x in col) for col in self.columns]
+        return tuple(tuple(columns[c] for c in row) for row in self.layout)
 
     def column(self, i, j):
         """The full product column of states i and j (1-based), as Fractions."""
-        return tuple(Fraction(x, self.denominator) for x in self.planes[i - 1][j - 1])
+        return tuple(Fraction(x, self.denominator) for x in self.columns[self.layout[i - 1][j - 1]])
 
 
 @dataclass(frozen=True)
@@ -293,13 +309,12 @@ def _cube_from_columns(n, columns, convert) -> StructureCube:
     wherever it stands, so that an entry equal to an int but of another
     type (True == 1, 1.0 == 1) meets convert at its own location.  D is
     computed and bounded over the distinct columns (scale_to_integers), and
-    signs and sums are checked once per distinct column; each violation is
-    reported at every (i, j) that holds the column, in scan order.  Equal
-    int columns share one tuple.
+    columns equal as ints ("1/2" and "2/4") are merged, which puts the cube
+    in its canonical form (see StructureCube).  Signs and sums are checked
+    once per merged column, and each violation is reported at every (i, j)
+    that holds the column, in scan order.
     """
-    first = {}
-    distinct = []
-    layout = []
+    first, distinct, layout = {}, [], []
     for position, column in enumerate(columns):
         key = tuple(column)
         if not {int, str}.issuperset(map(type, key)):
@@ -310,13 +325,10 @@ def _cube_from_columns(n, columns, convert) -> StructureCube:
             distinct.append(convert(column, *divmod(position, n)))
         layout.append(index)
     common, ints = scale_to_integers([x for column in distinct for x in column])
-
-    shared = {}
-    int_columns = []
+    merged = {}  # each distinct int column, at its index among the cube's columns
+    remap = [merged.setdefault(tuple(ints[start:start + n]), len(merged)) for start in range(0, len(ints), n)]
     faults = []
-    for start in range(0, len(ints), n):
-        column = tuple(ints[start:start + n])
-        int_columns.append(shared.setdefault(column, column))
+    for column in merged:
         found = []
         if min(column) < 0:
             found = [((k + 1,), "negative-entry", str(rat(x, common))) for k, x in enumerate(column) if x < 0]
@@ -327,12 +339,10 @@ def _cube_from_columns(n, columns, convert) -> StructureCube:
         raise ValidationError(
             Violation(kind, (position // n + 1, position % n + 1) + more, detail)
             for position, index in enumerate(layout)
-            for more, kind, detail in faults[index]
+            for more, kind, detail in faults[remap[index]]
         )
-    planes = tuple(
-        tuple(int_columns[index] for index in layout[start:start + n]) for start in range(0, n * n, n)
-    )
-    return StructureCube(n, common, planes)
+    layout = tuple(tuple(remap[index] for index in layout[start:start + n]) for start in range(0, n * n, n))
+    return StructureCube(n, common, tuple(merged), layout)
 
 
 def _raw_columns(raw, n):
@@ -354,8 +364,8 @@ def validate_cube(raw) -> StructureCube:
     characters.  An entry must be an int, a Fraction or a string that rat
     reads: rat raises TypeError for None, a float or a bool, ValueError for
     a string it cannot parse, and ZeroDivisionError for a zero denominator
-    ("1/0").  OperandBoundError comes from scale_to_integers.  Equal
-    columns share one tuple in the cube (see _cube_from_columns).
+    ("1/0").  OperandBoundError comes from scale_to_integers.  The cube
+    holds each distinct column once (see _cube_from_columns).
     """
     if isinstance(raw, StructureCube):
         return raw

@@ -6,8 +6,9 @@ the column of (i, j) is the measure of the state that multiplies (i j)
 into k.  Equivalently, the left action of state i is G_i M, where G_i is
 the translation permutation of i and M is the mixture matrix of the
 measure; through it, recovery settles condition (A) with one rank.  The
-cube is built as integers over the measure's common denominator; the
-mixture matrix and the degeneracy witnesses stay in Fractions.
+cube and the degeneracy check both read the measure's n translates as
+ints over its common denominator (_int_translates); only mixture_matrix
+stays in Fractions, and a kernel vector is reported as Fractions.
 
 The rank of M comes from the group's characters (mixture_rank), not from
 elimination.  M is the sum of mu(g) T_g, and the characters chi of the
@@ -42,7 +43,6 @@ from .core import (
     DimensionMismatch,
     RationalMatrix,
     StructureCube,
-    _cleared_rows,
     scale_to_integers,
     validate_measure,
 )
@@ -104,22 +104,33 @@ def mixture_matrix(table: CayleyTable, measure) -> RationalMatrix:
     return RationalMatrix(tuple(zip(*_translates(table, validate_measure(measure).values))))
 
 
+def _int_translates(table: CayleyTable, measure):
+    """D and the n translates of the measure's values times D, as int
+    tuples; the first is the measure itself, since state 1 is the
+    identity.  scale_to_integers scales the values once, or raises
+    OperandBoundError."""
+    common, ints = scale_to_integers(validate_measure(measure).values)
+    return common, _translates(table, ints)
+
+
 def derive_cube(table: CayleyTable, measure) -> StructureCube:
     """Cube of all pairwise products of measure translates.
 
     Entry (i, j, k) is the measure of k (i j)^{-1}: column (i, j) is the
-    translate of the measure by the product i j.  scale_to_integers
-    scales the measure once to ints over D, or raises OperandBoundError,
-    and each of the n integer translates is built once and shared by every
-    (i, j) with that product.  They are probability vectors times D, so the
-    cube is built without validating it again; it is commutative and
-    associative, and its left action at state i equals G_i times the
-    mixture matrix.
+    translate of the measure by the product i j.  The cube's columns are
+    the distinct int translates (_int_translates), equal ones merged, and
+    its layout names the translate of each product from table.rows; row 1
+    of the table is 1..n, so the columns come in the order the scan first
+    uses them, as StructureCube requires.  The translates are probability
+    vectors times D, so the cube is built without validating it again; it
+    is commutative and associative, and its left action at state i equals
+    G_i times the mixture matrix.
     """
-    common, ints = scale_to_integers(validate_measure(measure).values)
-    translates = _translates(table, ints)
-    planes = tuple(tuple(translates[s - 1] for s in row) for row in table.rows)
-    return StructureCube(table.n, common, planes)
+    common, translates = _int_translates(table, measure)
+    first = {}  # each distinct translate, at its index among the columns
+    states = [first.setdefault(t, len(first)) for t in translates]
+    layout = tuple(tuple(states[s - 1] for s in row) for row in table.rows)
+    return StructureCube(table.n, common, tuple(first), layout)
 
 
 def degeneracy_check(table: CayleyTable, measure) -> DegeneracyVerdict:
@@ -130,14 +141,16 @@ def degeneracy_check(table: CayleyTable, measure) -> DegeneracyVerdict:
     by a group element moves it there), and the first such state is the
     witness.  Otherwise mixture_rank decides whether the mixture matrix,
     whose columns are the translates, drops rank, and only a singular one
-    is eliminated, for its canonical kernel vector.
+    is eliminated, for its canonical kernel vector.  All three steps read
+    the int translates that derive_cube builds: scaling the matrix by D
+    changes neither its rank nor its kernel, and kernel_vector clears
+    each row to the same primitive integer row either way.
     """
-    values = validate_measure(measure).values
-    translates = _translates(table, values)
+    translates = _int_translates(table, measure)[1]
     for h in range(1, table.n):
         if translates[h] == translates[0]:
             return DegeneracyVerdict(REPEATED_TRANSLATES, repeated_state=h + 1)
-    if mixture_rank(table, _cleared_rows([values])[0]) == table.n:
+    if mixture_rank(table, translates[0]) == table.n:
         return DegeneracyVerdict(NON_DEGENERATE)
     kernel = RationalMatrix(tuple(zip(*translates))).kernel_vector()
     return DegeneracyVerdict(SINGULAR_MIXTURE, kernel_vector=kernel)

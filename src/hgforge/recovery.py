@@ -1,12 +1,16 @@
 """Recovering the unique (group, measure) pair behind a derivable cube.
 
 recover runs one fixed sequence on a valid cube.  It first reads a
-candidate pair off, once and in O(n^3): match every product column
-against the columns of state 1's left action, build the Cayley table
-that matching names (CayleyTable checks the group axioms, commutativity
-included, and refuses a plane 1 that repeats a column, since row 1 then
-repeats a label), take the product column of (1, 1) as the measure,
-re-derive the cube from that pair and compare it with the input.
+candidate pair off, once: match every product column against the
+columns of state 1's left action, build the Cayley table that matching
+names (CayleyTable checks the group axioms, commutativity included, and
+refuses a plane 1 that repeats a column, since row 1 then repeats a
+label), take the product column of (1, 1) as the measure, re-derive the
+cube from that pair and compare it with the input.  A cube names each
+product column by its index among its distinct columns (see
+core.StructureCube), so the matching is n**2 index lookups, and the
+comparison is the two layouts plus the n columns of a derived cube:
+no step of a certified read-off touches all n**3 entries.
 
 A cube the read-off certifies is derived from an abelian group, so it is
 commutative and associative, and each of its columns is one of plane
@@ -23,7 +27,7 @@ a cube that passes them all gets the read-off's rejection; its condition
 (A) gate, satisfies_condition_A, keeps the Bareiss elimination, since
 such a cube has no group to take characters of.  Every reason, witness
 and detail is the one the gates alone would give.  All steps decide on
-the cube's integer planes (see core.StructureCube).
+the cube's layout and its integer columns (see core.StructureCube).
 
 A successful result is never taken on faith: the candidate pair is fed
 back through the forward construction and the rebuilt cube must equal
@@ -111,8 +115,10 @@ def validation_rejection(err: ValidationError) -> RecoveryResult:
 
 def _first_cube_mismatch(expected: StructureCube, actual: StructureCube):
     """None for equal cubes, else the first differing entry and both values,
-    located on the entries: the two cubes' denominators can differ."""
-    if (expected.denominator, expected.planes) == (actual.denominator, actual.planes):
+    located on the entries: the two cubes' denominators can differ.  Both
+    cubes are in canonical form, so they are equal exactly when their
+    layouts and their distinct columns are."""
+    if expected == actual:
         return None
     n, want, got = expected.n, expected.entries, actual.entries
     cells = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
@@ -138,14 +144,15 @@ def _read_off(cube: StructureCube) -> RecoveryResult:
     """Column matching, the group axioms and certification, in that order.
 
     rows[i][j] is the state k whose column (1, k) equals column (i + 1,
-    j + 1).  validate_cube has proved column (1, 1) a probability vector,
-    so the measure is built from it without validating it again.  Returns
-    the certified result, or the rejection of the first step that fails.
+    j + 1), matched by their indices in the layout.  validate_cube has
+    proved column (1, 1) a probability vector, so the measure is built
+    from it without validating it again.  Returns the certified result,
+    or the rejection of the first step that fails.
     """
-    state_of_column = {column: k + 1 for k, column in enumerate(cube.planes[0])}
+    state_of_column = {column: k + 1 for k, column in enumerate(cube.layout[0])}
     rows = []
-    for i, plane in enumerate(cube.planes):
-        row = tuple(state_of_column.get(column) for column in plane)
+    for i, indices in enumerate(cube.layout):
+        row = tuple(state_of_column.get(column) for column in indices)
         if None in row:
             j = row.index(None)
             return _rejection(
@@ -167,7 +174,9 @@ def recover(cube) -> RecoveryResult:
     One sequence; the first step that fails names the rejection:
       validation        fails-validation
       read-off          none yet: column matching, group axioms and
-                        certification, O(n^3), run once on every valid cube
+                        certification, run once on every valid cube: n**2
+                        index lookups and Light's test, then a comparison
+                        of layouts plus n column comparisons
       commutativity     not-commutative       (met by a certified cube)
       associativity     not-associative       (met by a certified cube)
       condition (A)     fails-condition-a     (a certified cube: the rank
@@ -192,7 +201,7 @@ def recover(cube) -> RecoveryResult:
     n = cube.n
     result = _read_off(cube)
     if result.recovered:
-        ranks = (mixture_rank(result.table, cube.planes[0][0]),) * n
+        ranks = (mixture_rank(result.table, cube.columns[0]),) * n
         condition = ConditionAReport(n, n, ranks, ranks)
     else:
         commutative = is_commutative(cube, 1)

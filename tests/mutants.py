@@ -9,8 +9,11 @@ fail once it is in place.  For each mutant the script copies src/ to a
 temporary directory, applies the replacement there (the checkout is
 never touched), and runs the named nodes in a child pytest whose import
 path is that copy alone.  A mutant survives when any of its nodes passes.
-The script prints one line per mutant and exits 1 when a mutant survives
-or a snippet no longer occurs exactly once, so a stale entry is noticed.
+A child that runs past TIMEOUT seconds is stopped, and its mutant gets the
+verdict timeout, which is not a kill: a mutant that makes a test loop
+then costs a bounded time.  The script prints one line per mutant and
+exits 1 when a mutant survives or times out, or a snippet no longer
+occurs exactly once, so a stale entry is noticed.
 
 pytest does not collect this file; test_mutants.py checks, within
 tier-1, that every snippet still occurs exactly once and that every node
@@ -30,6 +33,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+# seconds a mutant's child pytest may run; the whole catalogue of 17
+# mutants runs in about two minutes on a 2-vCPU machine
+TIMEOUT = 300
 
 
 @dataclass(frozen=True)
@@ -78,8 +84,8 @@ MUTANTS = (
     Mutant(
         "memos kept across calls",
         "hgforge/checks.py",
-        "    products, mixes = {}, {}\n",
-        '    products, mixes = _matrix_violations.__dict__.setdefault("memos", ({}, {}))\n',
+        "    products, mixes = {}, [None] * len(columns)\n",
+        '    products, mixes = _matrix_violations.__dict__.setdefault("memos", ({}, [None] * len(columns)))\n',
         (
             "tests/test_checks.py::TestMatrixSharing::test_shared_values_match_fraction_oracle",
             "tests/test_checks.py::TestMatrixSharing::test_equal_rows_over_different_denominators_back_to_back",
@@ -90,7 +96,7 @@ MUTANTS = (
         "hgforge/checks.py",
         "                if lhs != rhs:\n"
         "                    c = (((lhs ^ rhs)",
-        '                if mixes.setdefault(("verdict", row, mix), lhs != rhs):\n'
+        '                if products.setdefault(("verdict", row, col), lhs != rhs):\n'
         "                    c = (((lhs ^ rhs)",
         (
             "tests/test_checks.py::TestMatrixSharing::test_shared_values_match_fraction_oracle",
@@ -163,7 +169,7 @@ MUTANTS = (
     Mutant(
         "kernel vector sought on every pair",
         "hgforge/derivation.py",
-        "    if mixture_rank(table, _cleared_rows([values])[0]) == table.n:\n"
+        "    if mixture_rank(table, translates[0]) == table.n:\n"
         "        return DegeneracyVerdict(NON_DEGENERATE)\n"
         "    kernel = RationalMatrix(tuple(zip(*translates))).kernel_vector()\n",
         "    kernel = RationalMatrix(tuple(zip(*translates))).kernel_vector()\n"
@@ -171,12 +177,39 @@ MUTANTS = (
         "        return DegeneracyVerdict(NON_DEGENERATE)\n",
         ("tests/test_derivation.py::TestMixtureRank::test_only_a_singular_pair_is_eliminated",),
     ),
+    # the canonical form of a cube: each distinct column once
+    Mutant(
+        "derived cube keeps a repeated translate as a column of its own",
+        "hgforge/derivation.py",
+        "    states = [first.setdefault(t, len(first)) for t in translates]\n"
+        "    layout = tuple(tuple(states[s - 1] for s in row) for row in table.rows)\n"
+        "    return StructureCube(table.n, common, tuple(first), layout)\n",
+        "    layout = tuple(tuple(s - 1 for s in row) for row in table.rows)\n"
+        "    return StructureCube(table.n, common, tuple(translates), layout)\n",
+        (
+            "tests/test_core.py::TestCanonicalForm::test_derived_cubes",
+            "tests/test_core.py::TestCanonicalForm::test_a_derived_cube_equals_the_load_of_its_document",
+        ),
+    ),
+    Mutant(
+        "loader keeps columns equal after conversion apart",
+        "hgforge/core.py",
+        "    merged = {}  # each distinct int column, at its index among the cube's columns\n"
+        "    remap = [merged.setdefault(tuple(ints[start:start + n]), len(merged)) for start in range(0, len(ints), n)]\n",
+        "    merged = [tuple(ints[start:start + n]) for start in range(0, len(ints), n)]\n"
+        "    remap = list(range(len(merged)))\n",
+        (
+            "tests/test_core.py::TestCanonicalForm::test_validated_cubes",
+            "tests/test_core.py::TestCanonicalForm::test_loaded_cubes",
+            "tests/test_core.py::TestCanonicalForm::test_equal_columns_spelled_apart",
+        ),
+    ),
     # recorded by earlier changes
     Mutant(
         "ranks keyed by row count",
         "hgforge/checks.py",
-        "        key = frozenset(rows)\n",
-        "        key = len(rows)\n",
+        "        key = frozenset(indices)\n",
+        "        key = len(indices)\n",
         (
             "tests/test_checks.py::TestConditionA::test_ranks_match_fraction_oracle",
             "tests/test_checks.py::TestConditionA::test_a_right_rank_equal_to_its_left_one_is_not_recomputed",
@@ -233,7 +266,8 @@ def killed(mutant, output, returncode):
 
 
 def run(mutant):
-    """Apply the mutant to a copy of src/ and run its nodes there."""
+    """Apply the mutant to a copy of src/, run its nodes there, and return
+    the verdict: killed, SURVIVED or timeout."""
     with tempfile.TemporaryDirectory(prefix="hgforge-mutant-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -245,8 +279,11 @@ def run(mutant):
             sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
             "-o", f"pythonpath={src}", *mutant.tests,
         ]
-        done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
-    return killed(mutant, done.stdout, done.returncode)
+        try:
+            done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return "timeout"
+    return "killed" if killed(mutant, done.stdout, done.returncode) else "SURVIVED"
 
 
 def main(names):
@@ -261,7 +298,7 @@ def main(names):
         if found != 1:
             verdict = f"stale: snippet occurs {found} times in src/{mutant.path}"
         else:
-            verdict = "killed" if run(mutant) else "SURVIVED"
+            verdict = run(mutant)
         bad += verdict != "killed"
         print(f"{verdict:8s}  {mutant.name}  ({len(mutant.tests)} node(s))")
     print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import doctest
 import importlib
 import math
@@ -15,14 +16,17 @@ from hgforge import (
     InvariantFactors,
     OperandBoundError,
     RationalMatrix,
+    StructureCube,
     ValidationError,
     cayley_table,
     derive_cube,
+    enumerate_abelian_groups,
     rat,
     validate_cube,
     validate_measure,
 )
 from hgforge.core import MAX_OPERAND_DIGITS, MatrixShapeError, rational_rank, scale_to_integers
+from hgforge.formats import cube_to_document, load_cube, write_document
 from oracles import (
     assert_canonical_kernel,
     cofactor_det,
@@ -334,6 +338,148 @@ def test_action_matrices_stochastic_for_any_cube(cube):
     for i in range(1, cube.n + 1):
         assert _column_stochastic(left_action(cube.entries, i))
         assert _column_stochastic(right_action(cube.entries, i))
+
+
+def _assert_canonical(cube):
+    # the stored form: the distinct int columns in the order the scan
+    # (1, 1), (1, 2), ... first uses them, and an n*n layout of indices
+    n, columns, layout = cube.n, cube.columns, cube.layout
+    assert [f.name for f in dataclasses.fields(StructureCube)] == ["n", "denominator", "columns", "layout"]
+    assert type(columns) is tuple and all(type(col) is tuple and len(col) == n for col in columns)
+    assert all(type(x) is int for col in columns for x in col)
+    assert len(set(columns)) == len(columns), "equal columns kept apart"
+    assert type(layout) is tuple and len(layout) == n and all(type(row) is tuple and len(row) == n for row in layout)
+    first_uses = list(dict.fromkeys(c for row in layout for c in row))
+    assert first_uses == list(range(len(columns))), "columns out of first-use order"
+    # the views: planes holds the stored tuples themselves, entries the
+    # same values over D
+    for i in range(n):
+        for j in range(n):
+            assert cube.planes[i][j] is columns[layout[i][j]]
+            assert cube.entries[i][j] == tuple(Fraction(x, cube.denominator) for x in cube.planes[i][j])
+            assert cube.column(i + 1, j + 1) == cube.entries[i][j]
+
+
+def _probability_columns(n):
+    return st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any).map(
+        lambda ws: tuple(Fraction(w, sum(ws)) for w in ws)
+    )
+
+
+@st.composite
+def _spelled_cubes(draw, forms=("int", "string", "scaled", "fraction")):
+    """(entries, first, second, other): the Fraction entries of a valid cube
+    whose columns are drawn from a small pool, two nested lists that spell
+    each entry independently in one of the forms (so equal columns are
+    often spelled apart), and the entries with one column redrawn from
+    the pool, which may or may not change them."""
+    n = draw(st.integers(1, 4))
+    pool = draw(st.lists(_probability_columns(n), min_size=1, max_size=n + 1))
+    slots = [draw(st.sampled_from(pool)) for _ in range(n * n)]
+
+    def spell(q):
+        form = draw(st.sampled_from(forms))
+        if form == "int" and q.denominator == 1:
+            return int(q)
+        if form == "fraction":
+            return q
+        m = draw(st.integers(2, 5)) if form == "scaled" else 1
+        return f"{q.numerator * m}/{q.denominator * m}"
+
+    def nested(columns):
+        return [[[spell(q) for q in columns[i * n + j]] for j in range(n)] for i in range(n)]
+
+    other = list(slots)
+    other[draw(st.integers(0, n * n - 1))] = draw(st.sampled_from(pool))
+    entries = tuple(tuple(slots[i * n:(i + 1) * n]) for i in range(n))
+    return entries, nested(slots), nested(slots), nested(other)
+
+
+@st.composite
+def _derived_cubes(draw):
+    """A cube derived from an abelian group of order 1-8 and a measure
+    constant on the orbits of translation by a drawn state h: for h other
+    than the identity its translates repeat, as a coset measure's do."""
+    factors = draw(st.sampled_from([f for order in range(1, 9) for f in enumerate_abelian_groups(order)]))
+    table = cayley_table(factors)
+    n, rows = table.n, table.rows
+    h = draw(st.integers(1, n))
+    orbit = {}
+    for s in range(1, n + 1):
+        if s not in orbit:
+            t = s
+            while t not in orbit:
+                orbit[t] = s
+                t = rows[t - 1][h - 1]
+    weights = {s: draw(st.integers(0, 5)) for s in sorted(set(orbit.values()))}
+    if not any(weights.values()):
+        weights[1] = 1
+    total = sum(weights[orbit[s]] for s in range(1, n + 1))
+    return derive_cube(table, [Fraction(weights[orbit[s]], total) for s in range(1, n + 1)])
+
+
+class TestCanonicalForm:
+    """Every builder gives the one stored form, so two cubes compare equal
+    exactly when their entries do."""
+
+    @given(_spelled_cubes())
+    def test_validated_cubes(self, drawn):
+        entries, first, second, other = drawn
+        cube = validate_cube(first)
+        _assert_canonical(cube)
+        assert cube.entries == entries
+        again, changed = validate_cube(second), validate_cube(other)
+        _assert_canonical(changed)
+        assert again == cube and hash(again) == hash(cube)
+        assert (changed == cube) == (changed.entries == cube.entries)
+
+    @given(_spelled_cubes(forms=("int", "string", "scaled")))
+    def test_loaded_cubes(self, tmp_path_factory, drawn):
+        entries, first, second, other = drawn
+        loaded = []
+        for nested in (first, second, other):
+            path = tmp_path_factory.mktemp("cube") / "cube.json"
+            write_document(path, {"n": len(nested), "entries": nested})
+            loaded.append(load_cube(path))
+        cube, again, changed = loaded
+        for each in loaded:
+            _assert_canonical(each)
+        assert cube.entries == entries and cube == validate_cube(first)
+        assert again == cube
+        assert (changed == cube) == (changed.entries == cube.entries)
+
+    @given(_derived_cubes())
+    def test_derived_cubes(self, cube):
+        _assert_canonical(cube)
+        assert validate_cube(cube.entries) == cube
+        assert validate_cube([[list(map(str, col)) for col in plane] for plane in cube.entries]) == cube
+
+    def test_a_derived_cube_equals_the_load_of_its_document(self, tmp_path):
+        z4, z2z2 = cayley_table(InvariantFactors((4,))), cayley_table(InvariantFactors((2, 2)))
+        for table, measure in [
+            (z4, ["1/2", "1/4", "1/8", "1/8"]),
+            (z4, ["1/4", "1/4", "1/4", "1/4"]),
+            (z4, ["1/2", 0, "1/2", 0]),  # uniform on the Z2 inside Z4: two columns
+            (z2z2, ["1/3", "1/3", "1/6", "1/6"]),  # constant on the cosets of {1, 2}
+        ]:
+            cube = derive_cube(table, measure)
+            write_document(tmp_path / "cube.json", cube_to_document(cube))
+            loaded = load_cube(tmp_path / "cube.json")
+            assert loaded == cube and loaded.entries == cube.entries
+            assert (loaded.columns, loaded.layout) == (cube.columns, cube.layout)
+        assert len(derive_cube(z4, ["1/2", 0, "1/2", 0]).columns) == 2
+
+    def test_equal_columns_spelled_apart(self, tmp_path):
+        nested = [[["1/2", "1/2"], ["2/4", "2/4"]], [[Fraction(1, 2), "3/6"], [1, 0]]]
+        cube = validate_cube(nested)
+        assert (cube.denominator, cube.columns, cube.layout) == (2, ((1, 1), (2, 0)), ((0, 0), (0, 1)))
+        document = {"n": 2, "entries": [[["1/2", "1/2"], ["2/4", "2/4"]], [["1/2", "3/6"], [1, 0]]]}
+        write_document(tmp_path / "cube.json", document)
+        assert load_cube(tmp_path / "cube.json") == cube
+        assert validate_cube([[["1/2", "1/2"]] * 2, [["1/2", "1/2"], [1, 0]]]) == cube
+        moved = validate_cube([[["1/2", "1/2"], [1, 0]], [["1/2", "1/2"], ["1/2", "1/2"]]])
+        assert (moved.columns, moved.layout) == (cube.columns, ((0, 1), (0, 0)))
+        assert moved != cube and moved.entries != cube.entries
 
 
 class TestRationalMatrix:

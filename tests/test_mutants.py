@@ -1,4 +1,5 @@
 import ast
+import subprocess
 
 import mutants
 
@@ -45,3 +46,23 @@ def test_failed_nodes_read_from_the_summary():
     assert mutants.killed(both, output, 1)
     assert not mutants.killed(both, output, 0)
     assert not mutants.killed(one_passing, output, 1)
+
+
+def test_a_child_past_its_time_limit_is_a_timeout(monkeypatch, capsys):
+    # no child is started: a stand-in for subprocess.run raises what
+    # subprocess.run raises once the limit passes
+    limits = []
+
+    def overrun(command, **kwargs):
+        limits.append(kwargs.get("timeout"))
+        raise subprocess.TimeoutExpired(command, kwargs.get("timeout"))
+
+    monkeypatch.setattr(mutants.subprocess, "run", overrun)
+    mutant = mutants.MUTANTS[0]
+    assert mutants.run(mutant) == "timeout"
+    assert mutants.main([mutant.name]) == 1
+    assert limits == [mutants.TIMEOUT] * 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"timeout   {mutant.name}  ({len(mutant.tests)} node(s))",
+        "0 of 1 mutants killed",
+    ]
