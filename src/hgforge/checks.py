@@ -12,23 +12,17 @@ layout that names the column of each (i, j).  Equal columns have equal
 indices, so commutativity and the distinct count of condition (A) read
 the layout, ranks are keyed by sets of indices, and the corollaries sort
 and pack each distinct column once; no check finds equal columns itself.
-Multisets are compared as int tuples, which D > 0 leaves in the same
-order, and ranks are taken on int rows.  The associativity routes and
-the product-columns corollary compare sides that are bilinear in the
-entries, so they scale by D**2 on both sides.  Every entry of such a
-side lies in [0, D**2], so the matrix route and product-columns pack
-each row or column of a side into one int, w = (D*D).bit_length() bits a
-slot, with no carry between slots (Kronecker substitution; see
-_matrix_violations).  The matrix
-route also computes each side once per distinct value it depends on, a
-column by its index and an action row by value:
-(distinct rows + distinct columns) x n packed products plus n**3
-lookups, which is 2n**2 products on a derived cube and 2n**3 on a cube
-that repeats no row or column, and it packs each distinct action row
-once, so n packs on a derived cube.  The brute-force route stays unpacked
-and unshared on purpose, as the independent check of the slot width and
-of that sharing, and expands over each column's nonzero (index, value)
-pairs only.
+The matrix route and the corollaries read the action rows the same way,
+each distinct row once, through _distinct_action_rows.  Multisets are
+compared as int tuples, which D > 0 leaves in the same order, and ranks
+are taken on int rows.  The associativity routes and the product-columns
+corollary compare sides that are bilinear in the entries, so they scale
+by D**2 on both sides, and the matrix route and product-columns pack
+each row or column of a side into one int (Kronecker substitution; see
+_matrix_violations, which also states the matrix route's cost).  The
+brute-force route stays unpacked and unshared on purpose, as the
+independent check of the slot width and of that sharing, and expands
+over each column's nonzero (index, value) pairs only.
 Witnesses are turned back into the exact rationals they stand for, and
 only for a witness that is kept.
 """
@@ -119,12 +113,13 @@ def is_associative_bruteforce(cube: StructureCube, witness_cap=DEFAULT_WITNESS_C
     For every (i, j, m), the column of (i*j)*m must equal the column of
     i*(j*m); both sides are expanded through the cube with no matrix
     algebra involved.  Each expansion runs over the nonzero (index,
-    value) pairs of the columns it reads, listed once per call, so a
-    zero entry costs nothing.
+    value) pairs of the columns it reads, listed once per distinct column
+    and reached through the layout, so a zero entry costs nothing.
     """
-    n, planes = cube.n, cube.planes
+    n, columns, layout = cube.n, cube.columns, cube.layout
     scale = cube.denominator**2
-    support = [[[(p, x) for p, x in enumerate(col) if x] for col in plane] for plane in planes]
+    pairs = [[(p, x) for p, x in enumerate(col) if x] for col in columns]
+    support = [[pairs[c] for c in row] for row in layout]
     found = _Collector(witness_cap)
     for i in range(n):
         support_i = support[i]
@@ -175,76 +170,63 @@ def _matrix_violations(cube: StructureCube):
     of the lowest set bit of lhs ^ rhs.
 
     Each side is computed once per distinct value it depends on, within
-    one call: the product row depends only on row r of L_i, by value, and
-    on j; the mix row only on the product column (i, j) and on r, and the
-    cube's layout already names that column by its index among the
-    distinct columns.  Each is computed the first time the scan reaches it
-    and looked up after that, and a row is keyed the first time the scan
-    reaches it in its plane, so a scan that stops early keys no more than
-    it reads.  Action rows are not columns of the cube, so they are still
-    keyed by value.
-    Packing is shared the same way: the rows of an action are packed the
-    first time a product reads that action or a mix reads any row index,
-    and each distinct row once, by value, so a derived cube costs n packs
-    and any cube at most n**2.  The cost is (distinct rows + distinct
-    columns) x n packed products plus n**3 lookups.  A derived cube has
-    at most n distinct rows (its actions are G_i M, row permutations of
-    the mixture matrix) and n distinct columns, so 2n**2 products; a cube
-    that repeats no row or column does the 2n**3 products of the unshared
-    scan, in the same order.  is_associative_bruteforce shares nothing,
-    on purpose.
+    one call: the product row depends only on row r of L_i, named by its
+    index among the distinct action rows (_distinct_action_rows), and on
+    j; the mix row only on the product column (i, j), named by its index
+    in the layout, and on r.  Each fills its slot the first time the scan
+    reaches it and is looked up after that.  Each distinct action row is
+    packed once.  The cost is (distinct rows + distinct columns) x n
+    packed products, one pack per distinct row, and n**3 lookups.  A
+    derived cube has at most n distinct rows (its actions are G_i M, row
+    permutations of the mixture matrix) and n distinct columns, so 2n**2
+    products and n packs; a cube that repeats no row or column does the
+    2n**3 products of the unshared scan, in the same order, and n**2
+    packs.  is_associative_bruteforce shares nothing, on purpose.
     """
     n, columns, layout = cube.n, cube.columns, cube.layout
     scale = cube.denominator**2
     w = scale.bit_length()
     mask = (1 << w) - 1
-    actions = [list(zip(*plane)) for plane in cube.planes]
-    # for this call only: by value, a row's packed int, and a row's nonzero
-    # entries and its products by L_j; by column index, a column's nonzero
-    # entries and its mixes of row r
-    packs = {}
-    products, mixes = {}, [None] * len(columns)
-    # P[k], the rows of L_k packed, and P[.][r], row r of every L_k
-    # packed, each built the first time a product or a mix reads it
-    packed_actions, packed_rows = [None] * n, [None] * n
-
-    def packed(k):
-        """P[k], packing each row not packed before in this call."""
-        if packed_actions[k] is None:
-            packed_actions[k] = row_packs = []
-            for row in actions[k]:
-                p = packs.get(row)
-                if p is None:
-                    p = packs[row] = _pack(row, w)
-                row_packs.append(p)
-        return packed_actions[k]
-
+    rows, row_at = _distinct_action_rows(cube)
+    packs = [_pack(row, w) for row in rows]
+    # P[k], the rows of L_k packed, and P[.][r], row r of every L_k packed
+    packed = [[packs[row] for row in at] for at in row_at]
+    packed_at = list(zip(*packed))
+    row_coeffs = [[x for x in row if x] for row in rows]
+    column_coeffs = [[q for q in col if q] for col in columns]
+    # for this call only, each slot filled when the scan first reads it:
+    # products[row][j], distinct row times L_j, and mixes[col][r], the mix
+    # of column col at row r
+    products, mixes = [[None] * n for _ in rows], [[None] * n for _ in columns]
     for i in range(n):
-        rows_i, keyed = actions[i], [None] * n
         for j, col in enumerate(layout[i]):
-            mix = columns[col]
-            if mixes[col] is None:
-                mixes[col] = [q for q in mix if q], [None] * n
-            coeffs, mixed = mixes[col]
-            for r, row in enumerate(rows_i):
-                if keyed[r] is None:
-                    if row not in products:
-                        products[row] = [x for x in row if x], [None] * n
-                    keyed[r] = products[row]
-                xs, product = keyed[r]
+            mix, mixed = columns[col], mixes[col]
+            for r, row in enumerate(row_at[i]):
+                product = products[row]
                 lhs = product[j]
                 if lhs is None:
-                    lhs = product[j] = sum(map(mul, xs, compress(packed(j), row)))
+                    lhs = product[j] = sum(map(mul, row_coeffs[row], compress(packed[j], rows[row])))
                 rhs = mixed[r]
                 if rhs is None:
-                    if packed_rows[r] is None:
-                        packed_rows[r] = [packed(k)[r] for k in range(n)]
-                    rhs = mixed[r] = sum(map(mul, coeffs, compress(packed_rows[r], mix)))
+                    rhs = mixed[r] = sum(map(mul, column_coeffs[col], compress(packed_at[r], mix)))
                 if lhs != rhs:
                     c = (((lhs ^ rhs) & -(lhs ^ rhs)).bit_length() - 1) // w
                     at = f"entry ({r + 1}, {c + 1}) = "
                     yield (i + 1, j + 1), *(f"{at}{rat(x >> c * w & mask, scale)}" for x in (lhs, rhs))
                     break
+
+
+def _distinct_action_rows(cube: StructureCube):
+    """The action rows of the cube, each distinct one once: (rows, at),
+    the row counterpart of cube.columns and cube.layout.  Row r of the
+    left action L_i holds entry (i, c, r) at c; rows lists the distinct
+    ones as int tuples in the order the scan (1, 1), (1, 2), ... over
+    (i, r) first meets them, and at[i][r] is the index in rows of row r
+    of L_i.  Action rows are not columns of the cube, so they are keyed
+    by value, here, once per call."""
+    columns, first = cube.columns, {}
+    at = [[first.setdefault(row, len(first)) for row in zip(*(columns[c] for c in indices))] for indices in cube.layout]
+    return list(first), at
 
 
 def _pack(values, w):
@@ -324,9 +306,12 @@ def check_corollaries(cube: StructureCube, witness_cap=DEFAULT_WITNESS_CAP) -> l
                             through plane k matches its expansion through
                             the diagonal column of (k, k)
     """
-    n, common, columns, layout, planes = cube.n, cube.denominator, cube.columns, cube.layout, cube.planes
-    # each distinct column sorted once here, and packed once below
+    n, common, columns, layout = cube.n, cube.denominator, cube.columns, cube.layout
+    # each distinct column and action row sorted once here, and each
+    # distinct column packed once below
     sorted_columns = [tuple(sorted(col)) for col in columns]
+    rows, row_at = _distinct_action_rows(cube)
+    sorted_rows = [tuple(sorted(row)) for row in rows]
 
     base = sorted_columns[0]
     contents = _Collector(witness_cap)
@@ -342,10 +327,11 @@ def check_corollaries(cube: StructureCube, witness_cap=DEFAULT_WITNESS_CAP) -> l
 
     diagonals = _Collector(witness_cap)
     for i in range(n):
-        first = planes[i][0][0]
+        first = columns[layout[i][0]][0]
         for j in range(1, n):
-            if planes[i][j][j] != first:
-                diagonals.add((i + 1, j + 1), str(rat(first, common)), str(rat(planes[i][j][j], common)))
+            entry = columns[layout[i][j]][j]
+            if entry != first:
+                diagonals.add((i + 1, j + 1), str(rat(first, common)), str(rat(entry, common)))
     reports.append(diagonals.report("constant-diagonals"))
 
     rows_cols = _Collector(witness_cap)
@@ -355,8 +341,8 @@ def check_corollaries(cube: StructureCube, witness_cap=DEFAULT_WITNESS_CAP) -> l
             col = sorted_columns[layout[i][j]]
             if col != base_i:
                 rows_cols.add_scaled((i + 1, j + 1), base_i, col, common)
-        for r, row in enumerate(zip(*planes[i])):
-            row = tuple(sorted(row))
+        for r, index in enumerate(row_at[i]):
+            row = sorted_rows[index]
             if row != base_i:
                 rows_cols.add_scaled((i + 1, r + 1), base_i, row, common)
     reports.append(rows_cols.report("row-column-contents"))
@@ -371,11 +357,11 @@ def check_corollaries(cube: StructureCube, witness_cap=DEFAULT_WITNESS_CAP) -> l
     packed_at = list(zip(*packed))
     products = _Collector(witness_cap)
     for k in range(n):
-        diag = planes[k][k]
+        diag = columns[layout[k][k]]
         diag_coeffs = nonzero[layout[k][k]]
         for j in range(n):
-            coeffs = nonzero[layout[k][j]]
-            lhs = sum(map(mul, coeffs, compress(packed[k], planes[k][j])))
+            col = layout[k][j]
+            lhs = sum(map(mul, nonzero[col], compress(packed[k], columns[col])))
             rhs = sum(map(mul, diag_coeffs, compress(packed_at[j], diag)))
             if lhs != rhs:
                 products.add_scaled((k + 1, j + 1), _unpack(lhs, n, w), _unpack(rhs, n, w), scale)

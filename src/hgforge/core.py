@@ -15,15 +15,16 @@ distinct product columns, as int tuples in the order the scan (1, 1),
 (1, 2), ... first uses them, and an n*n layout of indices into them.
 Which columns are equal is decided here, once, by the two builders:
 _cube_from_columns, which validate_cube and the cube loader share, and
-derivation.derive_cube.  Every predicate reads the layout for column
-equality and decides the rest on the ints: multisets on int tuples,
-associativity on identities that scale by D**2.  Only scale_to_integers
-computes and bounds D, and both builders go through it; an int scalar is
-used as it is, never wrapped.  The loading pass converts, scales and
-checks each distinct column once, so a derived cube holds n column
-tuples, not n**2.  fractions.Fraction, the package's only rational type,
-appears at the boundary only: parsing, measures, report text, documents,
-and StructureCube.entries and column().
+derivation.derive_cube.  Every predicate reaches a column through the
+layout, compares layout indices for column equality and decides the rest
+on the ints: multisets on int tuples, associativity on identities that
+scale by D**2.  Only scale_to_integers computes and bounds D, and both
+builders go through it, as does validate_measure before it renders a
+violation; an int scalar is used as it is, never wrapped.  The loading
+pass converts, scales and checks each distinct column once, so a derived
+cube holds n column tuples, not n**2.  fractions.Fraction, the package's
+only rational type, appears at the boundary only: parsing, measures,
+report text, documents, and StructureCube.entries and column().
 Ranks and kernel vectors both come from one fraction-free (Bareiss)
 elimination on integer rows (see rational_rank and
 RationalMatrix.kernel_vector).
@@ -242,15 +243,14 @@ class StructureCube:
     one, so its ints sum to D, and D and every int have at most
     MAX_OPERAND_DIGITS digits, so every witness over D**2 renders.
 
-    planes, entries and column() are views computed from those fields:
-    planes[i][j] is the tuple columns[layout[i][j]] itself, so planes holds
-    n*n references to len(columns) tuples, and entries nests Fractions
-    like planes.  D is determined by the entries, and the columns and the
-    layout by D and the entries once the order is fixed, so two cubes are
-    equal exactly when their entries are.  Build instances with
-    validate_cube or derive_cube, which establish all of this (through
-    scale_to_integers, raising OperandBoundError past the bound); the
-    constructor checks nothing.
+    entries and column() are Fraction views computed from those fields,
+    for the boundary; every predicate reads columns and layout.  D is
+    determined by the entries, and the columns and the layout by D and
+    the entries once the order is fixed, so two cubes are equal exactly
+    when their entries are.  Build instances with validate_cube or
+    derive_cube, which establish all of this (through scale_to_integers,
+    raising OperandBoundError past the bound); the constructor checks
+    nothing.
     """
 
     n: int
@@ -259,14 +259,9 @@ class StructureCube:
     layout: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def planes(self):
-        """The int product columns, nested plane by plane."""
-        columns = self.columns
-        return tuple(tuple(columns[c] for c in row) for row in self.layout)
-
-    @cached_property
     def entries(self):
-        """The entries as Fractions, nested like planes; each distinct value
+        """The entries as Fractions, entries[i][j][k] the weight of state
+        k + 1 in the product of states i + 1 and j + 1; each distinct value
         and each distinct column is built once and shared."""
         values = {x: Fraction(x, self.denominator) for x in {x for col in self.columns for x in col}}
         columns = [tuple(values[x] for x in col) for col in self.columns]
@@ -381,19 +376,24 @@ def validate_cube(raw) -> StructureCube:
 
 
 def validate_measure(raw) -> MeasureVector:
-    """Check nonnegativity and total mass one; return the measure."""
+    """Check nonnegativity and total mass one; return the measure.
+
+    A measure that breaks either is bounded by scale_to_integers before a
+    violation is rendered, so one with a value past MAX_OPERAND_DIGITS
+    raises OperandBoundError, not an error from printing the value.  A
+    valid measure is returned unbounded; derive_cube bounds it.
+    """
     if isinstance(raw, MeasureVector):
         return raw
     values = tuple(rat(x) for x in raw)
     if not values:
         raise ValidationError([Violation("shape-mismatch", (), "need at least one state")])
-    violations = []
-    for k, q in enumerate(values):
-        if q < 0:
-            violations.append(Violation("negative-entry", (k + 1,), str(q)))
+    negative = [k for k, q in enumerate(values) if q < 0]
     total = sum(values)
-    if total != 1:
-        violations.append(Violation("sum-not-one", (), f"sums to {total}"))
-    if violations:
+    if negative or total != 1:
+        scale_to_integers(values)
+        violations = [Violation("negative-entry", (k + 1,), str(values[k])) for k in negative]
+        if total != 1:
+            violations.append(Violation("sum-not-one", (), f"sums to {total}"))
         raise ValidationError(violations)
     return MeasureVector(len(values), values)

@@ -188,11 +188,9 @@ def recover(cube) -> RecoveryResult:
     Only a cube the read-off does not certify runs the three gates.  A
     rejection reports only the first witness of its check: the checks
     keep one, and the associativity gate stops at its first violation.
-    That gate is the matrix route, which forms each packed row product
-    and column mix once per distinct action row or product column, so a
-    full scan costs (distinct rows + distinct columns) x n products plus
-    n**3 lookups; the brute-force route, which recover does not run,
-    stays unshared on purpose as the independent cross-check.
+    That gate is the matrix route (checks._matrix_violations states its
+    cost); the brute-force route, which recover does not run, stays
+    unshared on purpose as the independent cross-check.
     """
     try:
         cube = validate_cube(cube)
@@ -234,15 +232,17 @@ def extract_group_by_value(cube, value) -> ExtractionResult:
     Fails with value-absent when v appears nowhere, not-functional when
     some (i, j) sees v zero or several times (always the case when the
     measure has repeated values), or group-axiom-failure.  Every decision
-    is made on the cube's integer planes, against D * v; a v that is not
-    a multiple of 1/D matches no entry.
+    is made on the cube's integer columns, against D * v, and v is counted
+    and found once per distinct column; a v that is not a multiple of 1/D
+    matches no entry.
     """
     cube = validate_cube(cube)
     v = rat(value)
     n = cube.n
     scaled = v * cube.denominator
     target = scaled.numerator if scaled.denominator == 1 else None
-    counts = [[col.count(target) for col in plane] for plane in cube.planes]
+    found = [col.count(target) for col in cube.columns]
+    counts = [[found[c] for c in row] for row in cube.layout]
     if not any(map(any, counts)):
         return ExtractionResult(None, VALUE_ABSENT, detail=f"value {v} appears nowhere")
     unmatched = next(((i, j) for i in range(n) for j in range(n) if counts[i][j] != 1), None)
@@ -254,7 +254,8 @@ def extract_group_by_value(cube, value) -> ExtractionResult:
             witness=(i + 1, j + 1),
             detail=f"value {v} appears {counts[i][j]} times in column ({i + 1}, {j + 1})",
         )
-    rows = [[col.index(target) + 1 for col in plane] for plane in cube.planes]
+    positions = [col.index(target) + 1 for col in cube.columns]
+    rows = [[positions[c] for c in row] for row in cube.layout]
 
     identity = next(
         (

@@ -33,8 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-# seconds a mutant's child pytest may run; the whole catalogue of 17
-# mutants runs in about two minutes on a 2-vCPU machine
+# seconds a mutant's child pytest may run; the whole catalogue of 21
+# mutants runs in about a minute and a half on a 2-vCPU machine
 TIMEOUT = 300
 
 
@@ -48,7 +48,7 @@ class Mutant:
 
 
 MUTANTS = (
-    # the matrix route's per-value memos (checks._matrix_violations)
+    # the matrix route's slot tables (checks._matrix_violations)
     Mutant(
         "row products keyed without j",
         "hgforge/checks.py",
@@ -68,13 +68,9 @@ MUTANTS = (
         "hgforge/checks.py",
         "                rhs = mixed[r]\n"
         "                if rhs is None:\n"
-        "                    if packed_rows[r] is None:\n"
-        "                        packed_rows[r] = [packed(k)[r] for k in range(n)]\n"
         "                    rhs = mixed[r] =",
         "                rhs = mixed[0]\n"
         "                if rhs is None:\n"
-        "                    if packed_rows[r] is None:\n"
-        "                        packed_rows[r] = [packed(k)[r] for k in range(n)]\n"
         "                    rhs = mixed[0] =",
         (
             "tests/test_checks.py::TestMatrixSharing::test_shared_values_match_fraction_oracle",
@@ -84,8 +80,9 @@ MUTANTS = (
     Mutant(
         "memos kept across calls",
         "hgforge/checks.py",
-        "    products, mixes = {}, [None] * len(columns)\n",
-        '    products, mixes = _matrix_violations.__dict__.setdefault("memos", ({}, [None] * len(columns)))\n',
+        "    products, mixes = [[None] * n for _ in rows], [[None] * n for _ in columns]\n",
+        '    products, mixes = _matrix_violations.__dict__.setdefault("memos", ([[None] * n for _ in rows], '
+        "[[None] * n for _ in columns]))\n",
         (
             "tests/test_checks.py::TestMatrixSharing::test_shared_values_match_fraction_oracle",
             "tests/test_checks.py::TestMatrixSharing::test_equal_rows_over_different_denominators_back_to_back",
@@ -96,7 +93,7 @@ MUTANTS = (
         "hgforge/checks.py",
         "                if lhs != rhs:\n"
         "                    c = (((lhs ^ rhs)",
-        '                if products.setdefault(("verdict", row, col), lhs != rhs):\n'
+        "                if _matrix_violations.__dict__.setdefault((id(products), row, col), lhs != rhs):\n"
         "                    c = (((lhs ^ rhs)",
         (
             "tests/test_checks.py::TestMatrixSharing::test_shared_values_match_fraction_oracle",
@@ -117,19 +114,42 @@ MUTANTS = (
     Mutant(
         "every action row packed again",
         "hgforge/checks.py",
-        "                if p is None:\n",
-        "                if True:\n",
+        "    packed = [[packs[row] for row in at] for at in row_at]\n",
+        "    packed = [[_pack(rows[row], w) for row in at] for at in row_at]\n",
         ("tests/test_checks.py::TestMatrixWork::test_derived_cube_forms_each_product_once[8]",),
     ),
     Mutant(
         "packs kept across calls",
         "hgforge/checks.py",
-        "    packs = {}\n",
-        '    packs = _matrix_violations.__dict__.setdefault("packs", {})\n',
+        "    packs = [_pack(row, w) for row in rows]\n",
+        '    packs = _matrix_violations.__dict__.setdefault("packs", [_pack(row, w) for row in rows])\n',
         (
             "tests/test_checks.py::TestMatrixSharing::test_shared_values_match_fraction_oracle",
             "tests/test_checks.py::TestMatrixSharing::test_equal_rows_over_different_denominators_back_to_back",
         ),
+    ),
+    # the corollaries' distinct action rows (checks.check_corollaries)
+    Mutant(
+        "row-column-contents reads plane 1's row indices for every plane",
+        "hgforge/checks.py",
+        "        for r, index in enumerate(row_at[i]):\n",
+        "        for r, index in enumerate(row_at[0]):\n",
+        ("tests/test_checks.py::TestFractionOracles::test_commutativity_and_multiset_corollaries[1000000]",),
+    ),
+    # the brute-force route, unpacked and unshared on purpose
+    Mutant(
+        "brute force rhs reads plane j in place of plane i",
+        "hgforge/checks.py",
+        "                    for p, x in support_i[k]:\n",
+        "                    for p, x in support_j[k]:\n",
+        ("tests/test_checks.py::TestCrossOracle::test_integer_scans_match_fraction_oracle_witness_for_witness",),
+    ),
+    Mutant(
+        "brute force drops each column's last nonzero pair",
+        "hgforge/checks.py",
+        "    pairs = [[(p, x) for p, x in enumerate(col) if x] for col in columns]\n",
+        "    pairs = [[(p, x) for p, x in enumerate(col) if x][:-1] for col in columns]\n",
+        ("tests/test_checks.py::TestCrossOracle::test_integer_scans_match_fraction_oracle_witness_for_witness",),
     ),
     # the mixture rank from the characters (derivation.mixture_rank) and
     # the table basis it reads (groups._primary_basis)
@@ -221,6 +241,16 @@ MUTANTS = (
         "    for a in _generators(table):\n",
         "    for a in _generators(table)[:1]:\n",
         ("tests/test_groups.py::TestLightsTest::test_loop_whose_first_generator_associates",),
+    ),
+    Mutant(
+        "recover returns the read-off's rejection before the gates",
+        "hgforge/recovery.py",
+        "    result = _read_off(cube)\n    if result.recovered:\n",
+        "    result = _read_off(cube)\n    if not result.recovered:\n        return result\n    if result.recovered:\n",
+        (
+            "tests/test_recovery.py::TestCertifyFirst::test_a_read_off_rejection_comes_after_the_gates",
+            "tests/test_recovery.py::TestCertifyFirst::test_recover_equals_the_gate_sequence[1]",
+        ),
     ),
     Mutant(
         "column (1, 2) taken as the measure",

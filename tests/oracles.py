@@ -559,6 +559,12 @@ def oracle_violations(entries):
     return found
 
 
+def int_planes(cube):
+    """The int product columns of a cube nested plane by plane: (i, j)
+    is the column that cube.layout[i][j] names among cube.columns."""
+    return tuple(tuple(cube.columns[c] for c in row) for row in cube.layout)
+
+
 # digits allowed in a document's common denominator and in each numerator over it
 OPERAND_DIGITS = 2150
 

@@ -30,6 +30,7 @@ from oracles import (
     coset_measure,
     fraction_rank,
     index_two_measure,
+    int_planes,
     left_action,
     matmul,
     oracle_associativity,
@@ -333,7 +334,7 @@ class TestSlotWidth:
 def _action_rows(cube):
     """Every row of every left action, as int tuples: row r of L_i holds
     entry (i, c, r) at c."""
-    return [row for plane in cube.planes for row in zip(*plane)]
+    return [row for plane in int_planes(cube) for row in zip(*plane)]
 
 
 def _split_sparse_z6(rng):
@@ -371,8 +372,8 @@ def _shared_value_cubes():
     for i, j in ((0, 1), (1, 0), (2, 3), (3, 2), (4, 4)):
         entries[i][j] = shared
     cube = validate_cube(entries)
-    column = cube.planes[0][1]
-    assert all(column in plane for plane in cube.planes)
+    column = int_planes(cube)[0][1]
+    assert all(column in plane for plane in int_planes(cube))
     cubes["column in every plane"] = cube
 
     # point masses on Z4, one pair moved: the unit rows repeat in every
@@ -401,7 +402,8 @@ def _shared_value_cubes():
     sharing = [(i + 1, j + 1) for i in range(6) for j in range(6) if (i + j) % 6 == 3]
     violating = {w[0] for w in oracle_associativity(cube.entries)["associative-matrix"][1]}
     assert (2, 3) in violating and not set(sharing) <= violating
-    assert all(derived.planes[i - 1][j - 1] == derived.planes[1][2] for i, j in sharing)
+    planes = int_planes(derived)
+    assert all(planes[i - 1][j - 1] == planes[1][2] for i, j in sharing)
     cubes["split column"] = cube
 
     # equal int rows over different denominators: the same planes but for
@@ -409,7 +411,7 @@ def _shared_value_cubes():
     base = derive_cube(cayley_table(InvariantFactors((3,))), validate_measure(["1/2", "1/3", "1/6"]))
     common = 13
     raised = [[[rat(x + (k == 2) * (common - base.denominator), common) for k, x in enumerate(col)]
-               for col in plane] for plane in base.planes]
+               for col in plane] for plane in int_planes(base)]
     cube = validate_cube(raised)
     assert cube.denominator == common != base.denominator
     assert set(_action_rows(cube)) & set(_action_rows(base))
@@ -485,7 +487,7 @@ class TestMatrixWork:
         rng = random.Random(n)
         for support in (1, 3, 5):
             cube = _support_cube(rng, n, support)
-            assert len(set(_action_rows(cube))) == len({col for plane in cube.planes for col in plane}) == n
+            assert len(set(_action_rows(cube))) == len({col for plane in int_planes(cube) for col in plane}) == n
             report, count, packs = _counted_work(cube, monkeypatch)
             assert report.holds
             assert count == 2 * support * n * n
@@ -499,7 +501,7 @@ class TestMatrixWork:
         counts = []
         for n in (5, 9):
             cube = validate_cube([[_random_column(rng, n) for _ in range(n)] for _ in range(n)])
-            columns = [col for plane in cube.planes for col in plane]
+            columns = [col for plane in int_planes(cube) for col in plane]
             assert len(set(columns)) == len(columns) == len(set(_action_rows(cube)))
             report, count, packs = _counted_work(cube, monkeypatch)
             assert report.violation_count == oracle_associativity(cube.entries)["associative-matrix"][0]
@@ -507,6 +509,44 @@ class TestMatrixWork:
             # every row of every action is read, and each is packed once
             assert packs == n * n
         assert counts == [226, 1345]
+
+
+def _counted_sorts(cube, monkeypatch):
+    """The corollary reports and the calls of sorted they made, counted
+    through a stand-in set on the checks module."""
+    calls = 0
+
+    def counted(values):
+        nonlocal calls
+        calls += 1
+        return sorted(values)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(checks, "sorted", counted, raising=False)
+        reports = check_corollaries(cube)
+    return reports, calls
+
+
+class TestCorollaryWork:
+    # each distinct column and each distinct action row is sorted once
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    def test_derived_cube_sorts_n_columns_and_n_rows(self, n, monkeypatch):
+        rng = random.Random(n)
+        for support in (1, 3, n):
+            cube = _support_cube(rng, n, support)
+            assert len(cube.columns) == len(set(_action_rows(cube))) == n
+            reports, calls = _counted_sorts(cube, monkeypatch)
+            assert all(report.holds for report in reports)
+            assert calls == 2 * n
+
+    def test_cube_that_repeats_nothing_sorts_every_column_and_row(self, monkeypatch):
+        rng = random.Random(1213)
+        for n in (5, 9):
+            cube = validate_cube([[_random_column(rng, n) for _ in range(n)] for _ in range(n)])
+            assert len(cube.columns) == len(set(_action_rows(cube))) == n * n
+            reports, calls = _counted_sorts(cube, monkeypatch)
+            assert not reports[0].holds
+            assert calls == 2 * n * n
 
 
 def _oracle_cubes():

@@ -31,6 +31,7 @@ from oracles import (
     assert_canonical_kernel,
     cofactor_det,
     fraction_rank,
+    int_planes,
     left_action,
     matmul,
     right_action,
@@ -185,8 +186,8 @@ class TestValidateCube:
     def test_equal_columns_share_one_tuple(self):
         half = [Fraction(1, 2), Fraction(1, 2)]
         cube = validate_cube([[half, ["1/2", "0.5"]], [[1, 0], list(half)]])
-        assert cube.planes[0][0] is cube.planes[0][1] is cube.planes[1][1]
-        assert len({id(col) for plane in cube.planes for col in plane}) == 2
+        assert cube.layout == ((0, 0), (1, 0))
+        assert len(cube.columns) == 2
 
     def test_idempotent_on_cube(self, z2_cube):
         assert validate_cube(z2_cube) is z2_cube
@@ -260,7 +261,7 @@ class TestActionMatrices:
 class TestIntegerPlanes:
     def test_one_denominator(self, z3_cube):
         assert z3_cube.denominator == 4
-        planes = z3_cube.planes
+        planes = int_planes(z3_cube)
         for i in range(3):
             for j in range(3):
                 for k in range(3):
@@ -274,7 +275,7 @@ class TestIntegerPlanes:
                 [["1/3", "2/3"], [1, 0]],
             ]
         )
-        assert (cube.denominator, cube.planes) == (6, (((3, 3), (2, 4)), ((2, 4), (6, 0))))
+        assert (cube.denominator, int_planes(cube)) == (6, (((3, 3), (2, 4)), ((2, 4), (6, 0))))
 
 
 class TestOperandBound:
@@ -306,7 +307,7 @@ class TestOperandBound:
     def test_validate_cube_at_the_bound(self):
         d = self.WIDE - 1
         cube = validate_cube([[[Fraction(1, d), Fraction(d - 1, d)]] * 2] * 2)
-        assert (cube.denominator, cube.planes[1][1]) == (d, (1, d - 1))
+        assert (cube.denominator, int_planes(cube)[1][1]) == (d, (1, d - 1))
 
     def test_derive_cube_refuses_a_wide_measure(self):
         table = cayley_table(InvariantFactors((2,)))
@@ -315,6 +316,26 @@ class TestOperandBound:
             derive_cube(table, wide)
         d = self.WIDE - 1
         assert derive_cube(table, [Fraction(1, d), Fraction(d - 1, d)]).denominator == d
+
+    def test_an_invalid_wide_measure_raises_the_bound_error(self):
+        # the bound is checked before a violation's detail is rendered, so
+        # a value too wide to print is never printed
+        table = cayley_table(InvariantFactors((2,)))
+        cases = [
+            (["1e-4300", 1], "common denominator exceeds"),
+            (["-1e-4300", 1], "common denominator exceeds"),
+            ([Fraction(1, self.WIDE), 1], "common denominator exceeds"),
+            ([self.WIDE, 1], "a numerator over the common denominator exceeds"),
+        ]
+        for measure, message in cases:
+            with pytest.raises(OperandBoundError, match=message):
+                validate_measure(measure)
+            with pytest.raises(OperandBoundError, match=message):
+                derive_cube(table, measure)
+        d = self.WIDE - 1
+        with pytest.raises(ValidationError, match="sum-not-one") as err:
+            validate_measure([Fraction(1, d), 1])
+        assert [v.kind for v in err.value.violations] == ["sum-not-one"]
 
 
 def _measure_values(n):
@@ -345,18 +366,17 @@ def _assert_canonical(cube):
     # (1, 1), (1, 2), ... first uses them, and an n*n layout of indices
     n, columns, layout = cube.n, cube.columns, cube.layout
     assert [f.name for f in dataclasses.fields(StructureCube)] == ["n", "denominator", "columns", "layout"]
+    assert not hasattr(cube, "planes"), "a second int view of the columns"
     assert type(columns) is tuple and all(type(col) is tuple and len(col) == n for col in columns)
     assert all(type(x) is int for col in columns for x in col)
     assert len(set(columns)) == len(columns), "equal columns kept apart"
     assert type(layout) is tuple and len(layout) == n and all(type(row) is tuple and len(row) == n for row in layout)
     first_uses = list(dict.fromkeys(c for row in layout for c in row))
     assert first_uses == list(range(len(columns))), "columns out of first-use order"
-    # the views: planes holds the stored tuples themselves, entries the
-    # same values over D
+    # the Fraction views: the stored values over D
     for i in range(n):
         for j in range(n):
-            assert cube.planes[i][j] is columns[layout[i][j]]
-            assert cube.entries[i][j] == tuple(Fraction(x, cube.denominator) for x in cube.planes[i][j])
+            assert cube.entries[i][j] == tuple(Fraction(x, cube.denominator) for x in columns[layout[i][j]])
             assert cube.column(i + 1, j + 1) == cube.entries[i][j]
 
 

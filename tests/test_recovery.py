@@ -505,7 +505,7 @@ class TestCertifyFirst:
         full_rank = derive_cube(z4, ["1/2", "1/5", "1/5", "1/10"])
         coset = derive_cube(z4, coset_measure(random.Random(4406), z4.rows, 3))
         # plane 1 repeats a column, so the read-off fails at the group axioms
-        assert len(set(coset.planes[0])) < coset.n
+        assert len(set(coset.layout[0])) < coset.n
         assert recovery._read_off(coset).reason == "group-axiom-failure"
         read_offs = _counting(monkeypatch, "_read_off")
         assert recover(full_rank).recovered
