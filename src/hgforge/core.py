@@ -25,9 +25,9 @@ pass converts, scales and checks each distinct column once, so a derived
 cube holds n column tuples, not n**2.  fractions.Fraction, the package's
 only rational type, appears at the boundary only: parsing, measures,
 report text, documents, and StructureCube.entries and column().
-Ranks and kernel vectors both come from one fraction-free (Bareiss)
-elimination on integer rows (see rational_rank and
-RationalMatrix.kernel_vector).
+Ranks come from a fraction-free (Bareiss) elimination on integer rows
+(rational_rank); the rank and the kernel of a mixture matrix come from
+its group's characters instead (see the derivation module).
 """
 
 from __future__ import annotations
@@ -122,7 +122,9 @@ def _fraction_free_eliminate(rows):
     """Bareiss elimination on a mutable list of integer rows; returns the rank.
 
     All divisions are exact by the Sylvester determinant identity, so the
-    intermediate values stay integers and never lose precision.
+    intermediate values stay integers and never lose precision.  The rows
+    are left in echelon form: each nonzero row starts past the row above
+    it, and the rows span what they spanned before.
     """
     n_rows = len(rows)
     n_cols = len(rows[0]) if n_rows else 0
@@ -147,23 +149,18 @@ def _fraction_free_eliminate(rows):
     return r
 
 
-def _cleared_rows(rows):
-    """Each row of rationals or ints times the lcm of its denominators,
-    divided by the gcd of the results, as ints; scaling rows changes
-    neither the rank nor the kernel."""
+def rational_rank(rows) -> int:
+    """Exact rank of a matrix of rationals or ints, given as a sequence of
+    rows: each row times the lcm of its denominators, divided by the gcd
+    of the results, as ints (scaling a row keeps the rank), eliminated
+    fraction-free."""
     cleared = []
     for row in rows:
         scale = math.lcm(*(q.denominator for q in row))
         ints = [q.numerator * (scale // q.denominator) for q in row]
         divisor = math.gcd(*ints) or 1
         cleared.append([x // divisor for x in ints])
-    return cleared
-
-
-def rational_rank(rows) -> int:
-    """Exact rank of a matrix of rationals or ints, given as a sequence of
-    rows: the cleared rows, eliminated fraction-free."""
-    return _fraction_free_eliminate(_cleared_rows(rows))
+    return _fraction_free_eliminate(cleared)
 
 
 @dataclass(frozen=True)
@@ -181,33 +178,6 @@ class RationalMatrix:
 
     def rank(self) -> int:
         return rational_rank(self.entries)
-
-    def kernel_vector(self):
-        """A canonical nonzero vector v with self times v equal to 0, or None.
-
-        Canonical means: integer entries with gcd 1 and a positive first
-        nonzero entry, zero past the first free column f (the first column
-        in the span of those before it) and nonzero at f, which fixes v.
-        Once the cleared rows are eliminated fraction-free, the pivots of
-        columns 0..f-1 sit on the diagonal, so f is the first zero there,
-        or the first column past the last row; back-substitution from v[f]
-        = the last of those pivots stays in integers by Cramer's rule.
-        """
-        rows = _cleared_rows(self.entries)
-        _fraction_free_eliminate(rows)
-        n_cols = len(self.entries[0])
-        free = next((i for i in range(min(len(rows), n_cols)) if not rows[i][i]), len(rows))
-        if free >= n_cols:
-            return None
-        vec = [0] * n_cols
-        vec[free] = rows[free - 1][free - 1] if free else 1
-        for i in reversed(range(free)):
-            row = rows[i]
-            vec[i] = -sum(row[j] * vec[j] for j in range(i + 1, free + 1)) // row[i]
-        divisor = math.gcd(*vec)
-        if next(x for x in vec if x) < 0:
-            divisor = -divisor
-        return tuple(rat(x // divisor) for x in vec)
 
 
 # --------------------------------------------------------------------------

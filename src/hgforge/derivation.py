@@ -10,20 +10,23 @@ cube and the degeneracy check both read the measure's n translates as
 ints over its common denominator (_int_translates); only mixture_matrix
 stays in Fractions, and a kernel vector is reported as Fractions.
 
-The rank of M comes from the group's characters (mixture_rank), not from
-elimination.  M is the sum of mu(g) T_g, and the characters chi of the
-abelian group diagonalise every T_g at once, so the eigenvalues of M are
-the sums of mu(g) chi(g), and its rank is the number of them that are
-not 0 (the group determinant, Dedekind and Frobenius).  Characters with
-one kernel are Galois conjugates and vanish together (Perlis and
-Walker, Trans. AMS 68, 1950): for a class of order d, push mu onto Z_d
-along one of its characters, and the class vanishes exactly when that
-polynomial is divisible by the cyclotomic polynomial Phi_d.  The rank is
-the sum of phi(d) over the classes that do not vanish, decided in exact
-integer arithmetic on the measure's own integers, with none of the entry
-growth of an elimination: one pass over the measure's support per class,
-over the table's basis (groups.CayleyTable.basis), and one division by
-Phi_d.
+The rank and the kernel of M both come from the group's characters,
+not from eliminating M.  M is the sum of mu(g) T_g, and the characters
+chi of the abelian group diagonalise every T_g at once, so the
+eigenvalues of M are the sums of mu(g) chi(g), and its rank is the
+number of them that are not 0 (the group determinant, Dedekind and
+Frobenius).  Characters with one kernel are Galois conjugates and vanish
+together (Perlis and Walker, Trans. AMS 68, 1950): for a class of order
+d, push mu onto Z_d along one of its characters, and the class vanishes
+exactly when that polynomial is divisible by the cyclotomic polynomial
+Phi_d.  One pass over the classes (_vanishing_classes) names those that
+vanish, in exact integer arithmetic on the measure's own integers, with
+none of the entry growth of an elimination: one pass over the measure's
+support per class, over the table's basis (groups.CayleyTable.basis),
+and one division by Phi_d.  The rank is n less the sum of phi(d) over
+them (mixture_rank), and the kernel is spanned by small-int vectors
+built from those classes alone, whatever the measure's width
+(_kernel_vector, which states the cost).
 
 The construction degrades in exactly two ways, both detected here with
 an exact witness: two translates of the measure can coincide (the cube
@@ -36,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from operator import mul
 
@@ -43,6 +47,7 @@ from .core import (
     DimensionMismatch,
     RationalMatrix,
     StructureCube,
+    _fraction_free_eliminate,
     scale_to_integers,
     validate_measure,
 )
@@ -139,48 +144,96 @@ def degeneracy_check(table: CayleyTable, measure) -> DegeneracyVerdict:
     Checks translate collisions first: if any two translates coincide,
     some translate equals the measure itself (translating the collision
     by a group element moves it there), and the first such state is the
-    witness.  Otherwise mixture_rank decides whether the mixture matrix,
-    whose columns are the translates, drops rank, and only a singular one
-    is eliminated, for its canonical kernel vector.  All three steps read
-    the int translates that derive_cube builds: scaling the matrix by D
-    changes neither its rank nor its kernel, and kernel_vector clears
-    each row to the same primitive integer row either way.
+    witness.  Otherwise the classes of characters that kill the measure
+    (_vanishing_classes) decide whether the mixture matrix, whose columns
+    are the translates, drops rank, and a singular one gets its canonical
+    kernel vector from those classes (_kernel_vector), with no
+    elimination of the matrix.  Both steps read the int translates that
+    derive_cube builds: scaling the measure by D changes neither which
+    classes vanish nor the kernel.
     """
     translates = _int_translates(table, measure)[1]
     for h in range(1, table.n):
         if translates[h] == translates[0]:
             return DegeneracyVerdict(REPEATED_TRANSLATES, repeated_state=h + 1)
-    if mixture_rank(table, translates[0]) == table.n:
+    vanishing = list(_vanishing_classes(table, translates[0]))
+    if not vanishing:
         return DegeneracyVerdict(NON_DEGENERATE)
-    kernel = RationalMatrix(tuple(zip(*translates))).kernel_vector()
-    return DegeneracyVerdict(SINGULAR_MIXTURE, kernel_vector=kernel)
+    return DegeneracyVerdict(SINGULAR_MIXTURE, kernel_vector=_kernel_vector(table, vanishing))
 
 
 def mixture_rank(table: CayleyTable, values) -> int:
     """Rank of the mixture matrix of a group and a measure, from the
-    group's characters (see the module docstring).
+    group's characters (see the module docstring): n less phi(d) for
+    each class of order d that kills the measure.
 
     values are the measure's values times one nonzero constant, as ints:
     a product column of a derived cube is one, and the rank does not
-    depend on the constant.  Over the table's basis, the character of a
-    class with exponents e takes state g to the power sum_i e_i c_i(g) of
-    a primitive d-th root of unity, c(g) the coordinates of g; so the
-    measure pushed onto Z_d along it is one pass over the nonzero values.
-    Its remainder modulo the monic integer polynomial Phi_d stays in ints.
+    depend on the constant.
+    """
+    return table.n - sum(phi for _, phi, _ in _vanishing_classes(table, values))
+
+
+def _vanishing_classes(table: CayleyTable, values):
+    """Yield (d, phi(d), exponents) for each class of characters, one of
+    _character_classes, that kills the measure whose values (times any
+    nonzero constant, as ints) are given.
+
+    Over the table's basis, the character of a class with exponents e
+    takes state g to the power t(g) = sum_i e_i c_i(g) of a primitive
+    d-th root of unity, c(g) the coordinates of g; so the measure pushed
+    onto Z_d along it is one pass over the nonzero values, and the class
+    vanishes when Phi_d divides that polynomial.  The remainder modulo the
+    monic integer polynomial Phi_d stays in ints.
     """
     if table.n != len(values):
         raise DimensionMismatch(f"group has {table.n} states, measure has {len(values)}")
     orders, coordinates = table.basis
     support = [(coordinates[g], v) for g, v in enumerate(values) if v]
-    rank = 0
     for d, phi, exponents in _character_classes(orders):
         pushed = [0] * d
         for c, v in support:
             pushed[sum(map(mul, exponents, c)) % d] += v
         _divide(pushed, *_cyclotomic(d))
-        if any(pushed):
-            rank += phi
-    return rank
+        if not any(pushed):
+            yield d, phi, exponents
+
+
+def _kernel_vector(table: CayleyTable, vanishing):
+    """The canonical kernel vector of a singular mixture matrix, from the
+    classes of characters that kill its measure (_vanishing_classes), as
+    Fractions.
+
+    M acts by convolution with the measure, so its kernel is the set of
+    functions whose transform lives on those classes.  A class of order
+    d, with t(g) its exponent at state g, contributes phi(d) integer
+    vectors: vector s, for s = 0 .. phi(d) - 1, sends g to the
+    coefficient of x^t(g) in x^s Psi_d.  Psi_d = (x^d - 1) / Phi_d, the
+    quotient that _divide returns, vanishes at every d-th root of unity
+    but the primitive ones, and its degree d - phi(d) keeps x^s Psi_d
+    below degree d, so no reduction modulo x^d - 1 is needed.  These
+    k = n - rank vectors are a basis of the kernel, with small entries
+    that do not depend on the measure's width.
+
+    The canonical vector is primitive, with a positive first nonzero
+    entry, zero past the first column f of M in the span of the columns
+    before it, and nonzero at f: it is the kernel vector whose last
+    nonzero entry comes first, unique up to scale.  Eliminating the basis
+    from its last coordinate up (core._fraction_free_eliminate on the
+    reversed vectors) leaves it as the last row.  The cost is O(n k^2)
+    operations on ints no wider than a k x k minor of the basis.
+    """
+    rows = []
+    for d, phi, exponents in vanishing:
+        psi = _divide([-1] + [0] * (d - 1) + [1], *_cyclotomic(d)) + [0] * (phi - 1)
+        at = [sum(map(mul, exponents, c)) % d for c in reversed(table.basis[1])]
+        rows += [[psi[(t - s) % d] for t in at] for s in range(phi)]
+    _fraction_free_eliminate(rows)
+    vec = rows[-1][::-1]
+    divisor = math.gcd(*vec)
+    if next(x for x in vec if x) < 0:
+        divisor = -divisor
+    return tuple(Fraction(x // divisor) for x in vec)
 
 
 # Both caches below are keyed by small ints or by the basis orders of a

@@ -33,8 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-# seconds a mutant's child pytest may run; the whole catalogue of 21
-# mutants runs in about a minute and a half on a 2-vCPU machine
+# seconds a mutant's child pytest may run; the whole catalogue of 28
+# mutants runs in about two minutes on a 2-vCPU machine
 TIMEOUT = 300
 
 
@@ -167,12 +167,11 @@ MUTANTS = (
     Mutant(
         "one per class in place of phi(d)",
         "hgforge/derivation.py",
-        "            rank += phi\n",
-        "            rank += 1\n",
+        "    return table.n - sum(phi for _, phi, _ in _vanishing_classes(table, values))\n",
+        "    return table.n - sum(1 for _, phi, _ in _vanishing_classes(table, values))\n",
         (
             "tests/test_derivation.py::TestMixtureRank::test_pinned_ranks",
             "tests/test_derivation.py::TestMixtureRank::test_matches_fraction_oracle_on_every_group_up_to_32",
-            "tests/test_recovery.py::TestCertifyFirst::test_singular_mixture_with_distinct_columns_fails_condition_a",
         ),
     ),
     Mutant(
@@ -186,16 +185,71 @@ MUTANTS = (
             "tests/test_derivation.py::TestMixtureRank::test_matches_fraction_oracle_on_every_group_up_to_32",
         ),
     ),
+    # the kernel vector from the vanishing classes (derivation._kernel_vector)
     Mutant(
-        "kernel vector sought on every pair",
+        "kernel vector built before the translate check",
         "hgforge/derivation.py",
-        "    if mixture_rank(table, translates[0]) == table.n:\n"
+        "    for h in range(1, table.n):\n"
+        "        if translates[h] == translates[0]:\n"
+        "            return DegeneracyVerdict(REPEATED_TRANSLATES, repeated_state=h + 1)\n"
+        "    vanishing = list(_vanishing_classes(table, translates[0]))\n"
+        "    if not vanishing:\n"
         "        return DegeneracyVerdict(NON_DEGENERATE)\n"
-        "    kernel = RationalMatrix(tuple(zip(*translates))).kernel_vector()\n",
-        "    kernel = RationalMatrix(tuple(zip(*translates))).kernel_vector()\n"
+        "    return DegeneracyVerdict(SINGULAR_MIXTURE, kernel_vector=_kernel_vector(table, vanishing))\n",
+        "    vanishing = list(_vanishing_classes(table, translates[0]))\n"
+        "    kernel = _kernel_vector(table, vanishing) if vanishing else None\n"
+        "    for h in range(1, table.n):\n"
+        "        if translates[h] == translates[0]:\n"
+        "            return DegeneracyVerdict(REPEATED_TRANSLATES, repeated_state=h + 1)\n"
         "    if kernel is None:\n"
-        "        return DegeneracyVerdict(NON_DEGENERATE)\n",
+        "        return DegeneracyVerdict(NON_DEGENERATE)\n"
+        "    return DegeneracyVerdict(SINGULAR_MIXTURE, kernel_vector=kernel)\n",
         ("tests/test_derivation.py::TestMixtureRank::test_only_a_singular_pair_is_eliminated",),
+    ),
+    Mutant(
+        "one kernel basis vector per class in place of phi(d)",
+        "hgforge/derivation.py",
+        "        rows += [[psi[(t - s) % d] for t in at] for s in range(phi)]\n",
+        "        rows += [[psi[(t - s) % d] for t in at] for s in range(1)]\n",
+        ("tests/test_derivation.py::TestDegeneracy::test_kernel_vectors_match_fraction_oracle_on_every_group_up_to_32",),
+    ),
+    Mutant(
+        "kernel basis eliminated from its first coordinate",
+        "hgforge/derivation.py",
+        "        at = [sum(map(mul, exponents, c)) % d for c in reversed(table.basis[1])]\n"
+        "        rows += [[psi[(t - s) % d] for t in at] for s in range(phi)]\n"
+        "    _fraction_free_eliminate(rows)\n"
+        "    vec = rows[-1][::-1]\n",
+        "        at = [sum(map(mul, exponents, c)) % d for c in table.basis[1]]\n"
+        "        rows += [[psi[(t - s) % d] for t in at] for s in range(phi)]\n"
+        "    _fraction_free_eliminate(rows)\n"
+        "    vec = rows[-1]\n",
+        (
+            "tests/test_derivation.py::TestDegeneracy::test_kernel_vectors_match_fraction_oracle_on_every_group_up_to_32",
+            "tests/test_derivation.py::TestDegeneracy::test_z6_order_three_class",
+        ),
+    ),
+    Mutant(
+        "kernel basis from x^d - 1 in place of Psi_d",
+        "hgforge/derivation.py",
+        "        psi = _divide([-1] + [0] * (d - 1) + [1], *_cyclotomic(d)) + [0] * (phi - 1)\n",
+        "        psi = [-1] + [0] * (d - 1) + [1]\n",
+        (
+            "tests/test_derivation.py::TestDegeneracy::test_z4_singular_mixture",
+            "tests/test_derivation.py::TestDegeneracy::test_kernel_vectors_match_fraction_oracle_on_every_group_up_to_32",
+            "tests/test_cli.py::TestDerive::test_singular_z128_kernel_vector",
+            "tests/test_acceptance.py::test_criterion_3_degeneracy",
+        ),
+    ),
+    Mutant(
+        "kernel vector left without its sign",
+        "hgforge/derivation.py",
+        "    if next(x for x in vec if x) < 0:\n        divisor = -divisor\n",
+        "",
+        (
+            "tests/test_derivation.py::TestDegeneracy::test_z4_singular_mixture",
+            "tests/test_derivation.py::TestDegeneracy::test_kernel_vectors_match_fraction_oracle_on_every_group_up_to_32",
+        ),
     ),
     # the canonical form of a cube: each distinct column once
     Mutant(
@@ -234,6 +288,30 @@ MUTANTS = (
             "tests/test_checks.py::TestConditionA::test_ranks_match_fraction_oracle",
             "tests/test_checks.py::TestConditionA::test_a_right_rank_equal_to_its_left_one_is_not_recomputed",
         ),
+    ),
+    Mutant(
+        "ranks keyed by a sorted tuple of row indices",
+        "hgforge/checks.py",
+        "        key = frozenset(indices)\n",
+        "        key = tuple(sorted(indices))\n",
+        ("tests/test_checks.py::TestConditionA::test_a_right_rank_equal_to_its_left_one_is_not_recomputed",),
+    ),
+    # the theorem's census (test_census.py) against condition (A)'s verdict
+    Mutant(
+        "condition (A) accepting n - 1 distinct columns",
+        "hgforge/checks.py",
+        "            self.distinct_column_count == self.n\n            and",
+        "            self.distinct_column_count >= self.n - 1\n            and",
+        ("tests/test_census.py::test_census[n2-D2]", "tests/test_census.py::test_census[n2-D6]"),
+    ),
+    Mutant(
+        "condition (A) ignoring the ranks",
+        "hgforge/checks.py",
+        "            self.distinct_column_count == self.n\n"
+        "            and all(r == self.n for r in self.left_ranks)\n"
+        "            and all(r == self.n for r in self.right_ranks)\n",
+        "            self.distinct_column_count == self.n\n",
+        ("tests/test_census.py::test_census[n2-D2]", "tests/test_census.py::test_census[n3-D1]"),
     ),
     Mutant(
         "only the first generator in Light's test",

@@ -125,17 +125,24 @@ def fraction_rank(rows):
 def first_dependent_column(rows):
     """First column f in the span of the columns before it, or None.
 
-    Found by ranks alone: f is the first column where the rank of
-    columns 0..f equals the rank of columns 0..f-1.  A kernel vector
-    that is zero past f and nonzero at f exists exactly for this f, and
-    is unique up to scale.
+    Rational Gaussian elimination, column by column: f is the first
+    column that holds no pivot below the rows already used, since the
+    earlier columns then span it.  A kernel vector that is zero past f
+    and nonzero at f exists exactly for this f, and is unique up to
+    scale.
     """
-    before = 0
-    for f in range(len(rows[0])):
-        upto = fraction_rank([row[: f + 1] for row in rows])
-        if upto == before:
+    work = [[Fraction(x) for x in row] for row in rows]
+    used = 0
+    for f in range(len(work[0])):
+        pivot = next((r for r in range(used, len(work)) if work[r][f]), None)
+        if pivot is None:
             return f
-        before = upto
+        work[used], work[pivot] = work[pivot], work[used]
+        for r in range(used + 1, len(work)):
+            if work[r][f]:
+                factor = work[r][f] / work[used][f]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[used])]
+        used += 1
     return None
 
 
@@ -635,3 +642,41 @@ def oracle_extract_by_value(entries, value):
     if not (latin and abelian and associative):
         return ("group-axiom-failure", None, None)
     return ("table", [tuple(row) for row in rows], None)
+
+
+def grid_measures(n, denominator):
+    """Every measure on n states whose values lie in (1/D)Z, D the
+    denominator: the compositions of D into n parts, over D."""
+    for cuts in itertools.combinations(range(denominator + n - 1), n - 1):
+        bounds = (-1,) + cuts + (denominator + n - 1,)
+        yield [Fraction(bounds[k + 1] - bounds[k] - 1, denominator) for k in range(n)]
+
+
+def oracle_census_count(n, denominator):
+    """Number of distinct cubes derived from a group table on n states with
+    identity at state 1 and a measure on the (1/D)Z grid that meet
+    condition (A): n distinct columns and every action of rank n.
+
+    The tables are every filling of the cells (i, j), 2 <= i <= j, with
+    a symmetric Latin square that associates; the cubes come from
+    oracle_derive, and the ranks from fraction_rank (a derived cube is
+    commutative, so its right actions are its left ones).
+    """
+    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+    found = set()
+    for fill in itertools.product(range(1, n + 1), repeat=len(cells)):
+        rows = [[i + j + 1 if 0 in (i, j) else 0 for j in range(n)] for i in range(n)]
+        for (i, j), k in zip(cells, fill):
+            rows[i][j] = rows[j][i] = k
+        if any(len(set(row)) < n for row in rows):
+            continue
+        if any(rows[rows[a][b] - 1][c] != rows[a][rows[b][c] - 1] for a in range(n) for b in range(n) for c in range(n)):
+            continue
+        for values in grid_measures(n, denominator):
+            entries = oracle_derive(rows, values)
+            columns = {tuple(col) for plane in entries for col in plane}
+            if len(columns) == n and all(
+                fraction_rank(left_action(entries, i)) == n for i in range(1, n + 1)
+            ):
+                found.add(tuple(tuple(col) for plane in entries for col in plane))
+    return len(found)

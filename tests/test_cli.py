@@ -2,10 +2,12 @@ import argparse
 import ast
 import gc
 import json
+import math
 import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ import hgforge.cli
 from hgforge.cli import main
 from hgforge.formats import cube_to_document, group_to_document, measure_to_document, write_document
 from hgforge.sampling import random_measure
+from oracles import oracle_mixture
 
 
 @pytest.fixture()
@@ -200,6 +203,30 @@ class TestDerive:
         assert run_cli("derive", group, measure, "--out", out_path) == 3
         out = capsys.readouterr().out
         assert "singular-mixture" in out
+
+    def test_singular_z128_kernel_vector(self, tmp_path, capsys):
+        # 40-bit weights on eight residues of Z128 (state g + 1 is residue
+        # g), two in each class mod 4, balanced so that the order-4 class of
+        # characters vanishes: the masses on residues 0 and 2 mod 4 agree,
+        # and those on 1 and 3.  An elimination of the mixture matrix took
+        # about 8 s on this pair; the characters take milliseconds.
+        rng = random.Random(128)
+        weights = {g: rng.randrange(2**40, 2**41) for g in (0, 1, 68, 105)}
+        weights |= {g: rng.randrange(1, 2**36) for g in (38, 51)}
+        weights[90] = weights[0] + weights[68] - weights[38]
+        weights[127] = weights[1] + weights[105] - weights[51]
+        values = [Fraction(weights.get(g, 0), sum(weights.values())) for g in range(128)]
+        group, measure, out = tmp_path / "z128.json", tmp_path / "m.json", tmp_path / "cube.json"
+        write_document(group, {"invariant_factors": [128]})
+        write_document(measure, measure_to_document(validate_measure(values)))
+        assert run_cli("derive", group, measure, "--out", out, "--format", "json") == 3
+        degeneracy = json.loads(capsys.readouterr().out)["degeneracy"]
+        assert degeneracy["kind"] == "singular-mixture"
+        vector = degeneracy["kernel_vector"]
+        assert all(type(x) is int for x in vector) and math.gcd(*vector) == 1
+        assert next(x for x in vector if x) > 0
+        rows = cayley_table(InvariantFactors((128,))).rows
+        assert all(sum(r * v for r, v in zip(row, vector)) == 0 for row in oracle_mixture(rows, values))
 
     @pytest.mark.parametrize(
         "group",

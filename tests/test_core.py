@@ -2,9 +2,7 @@ import ast
 import dataclasses
 import doctest
 import importlib
-import math
 import pkgutil
-import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +26,6 @@ from hgforge import (
 from hgforge.core import MAX_OPERAND_DIGITS, MatrixShapeError, rational_rank, scale_to_integers
 from hgforge.formats import cube_to_document, load_cube, write_document
 from oracles import (
-    assert_canonical_kernel,
     cofactor_det,
     fraction_rank,
     int_planes,
@@ -542,17 +539,6 @@ class TestRationalMatrix:
             mat = _matrix(rows)
             assert (mat.rank() == n) == (cofactor_det(rows) != 0)
 
-    def test_kernel_vector_canonical(self):
-        mat = _matrix(
-            [["1/2", "1/4", 0, "1/4"], ["1/4", "1/2", "1/4", 0], [0, "1/4", "1/2", "1/4"], ["1/4", 0, "1/4", "1/2"]]
-        )
-        kernel = mat.kernel_vector()
-        assert kernel == (rat(1), rat(-1), rat(1), rat(-1))
-        assert all(sum(r * v for r, v in zip(row, kernel)) == 0 for row in mat.entries)
-
-    def test_kernel_none_for_full_rank(self):
-        assert _matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).kernel_vector() is None
-
     def test_matmul_and_add(self):
         # pins the oracle product that the action-matrix identities rest on
         a = [[1, 2], [3, 4]]
@@ -592,47 +578,6 @@ class TestRationalMatrix:
         assert rational_rank([rows[0], [x * Fraction(big + 5, 7) for x in rows[0]]]) == 1
 
 
-def _random_rows(rng, n_rows, n_cols, style):
-    def entry():
-        if style == "small":
-            return Fraction(rng.choice([0, 0, 1, -1, 2]), rng.randint(1, 3))
-        if style == "wide-denominators":
-            return Fraction(rng.randint(-10**12, 10**12), rng.randint(10**11, 10**12))
-        return Fraction(rng.randint(-4, 4))
-
-    rows = [[entry() for _ in range(n_cols)] for _ in range(n_rows)]
-    if style == "dependent" and n_rows > 1 and n_cols > 1:
-        # a column that is a multiple of the one before it, and a last row
-        # that combines the first two, pull the rank down
-        c = rng.randrange(1, n_cols)
-        scale = Fraction(rng.randint(-3, 3), 2)
-        for row in rows:
-            row[c] = row[c - 1] * scale
-        weight = Fraction(rng.randint(-3, 3), 5)
-        rows[-1] = [a * weight + b for a, b in zip(rows[0], rows[1])]
-    return rows
-
-
-@pytest.mark.parametrize("style", ["integers", "small", "wide-denominators", "dependent"])
-@pytest.mark.parametrize("shape", ["square", "wide", "tall"])
-def test_kernel_vector_is_the_canonical_one(shape, style):
-    rng = random.Random(f"{shape}-{style}")
-    for _ in range(60):
-        n = rng.randint(1, 6)
-        m = n if shape == "square" else rng.randint(n + 1, n + 3)
-        n_rows, n_cols = (n, m) if shape == "wide" else (m, n)
-        rows = _random_rows(rng, n_rows, n_cols, style)
-        assert_canonical_kernel(rows, RationalMatrix(tuple(map(tuple, rows))).kernel_vector())
-
-
-def test_kernel_vector_picks_the_first_free_column():
-    # columns 2 and 4 both depend on earlier ones; the choice is column 2
-    rows = [[1, 2, 0, 3], [0, 0, 1, 5]]
-    assert _matrix(rows).kernel_vector() == (2, -1, 0, 0)
-    assert _matrix([[0, 1], [0, 2]]).kernel_vector() == (1, 0)
-    assert _matrix([[1, 1, 1]]).kernel_vector() == (1, -1, 0)
-
-
 @given(st.integers(2, 5), st.integers(0, 10_000))
 def test_random_integer_matrices_match_oracles(n, seed):
     import random
@@ -642,15 +587,6 @@ def test_random_integer_matrices_match_oracles(n, seed):
     mat = _matrix(rows)
     assert mat.rank() == fraction_rank(rows)
     assert (mat.rank() == n) == (cofactor_det(rows) != 0)
-    kernel = mat.kernel_vector()
-    if kernel is None:
-        assert mat.rank() == n
-    else:
-        assert any(x != 0 for x in kernel)
-        assert all(sum(r * v for r, v in zip(row, kernel)) == 0 for row in mat.entries)
-        ints = [x.numerator for x in kernel]
-        assert math.gcd(*ints) == 1
-        assert next(x for x in ints if x) > 0
 
 
 def test_oracles_import_nothing_from_hgforge():

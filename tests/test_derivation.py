@@ -24,7 +24,8 @@ from hgforge import (
     validate_cube,
     validate_measure,
 )
-from hgforge.derivation import mixture_rank
+from hgforge import derivation
+from hgforge.derivation import _vanishing_classes, mixture_rank
 from oracles import (
     assert_canonical_kernel,
     cofactor_det,
@@ -283,6 +284,47 @@ class TestDegeneracy:
                         assert_canonical_kernel(matrix, None)
         assert seen == {"non-degenerate", "repeated-translates", "singular-mixture"}
 
+    def test_kernel_vectors_match_fraction_oracle_on_every_group_up_to_32(self):
+        """The kernel vector built from the vanishing classes against the
+        canonical one of the mixture matrix in Fractions, on random labels
+        (identity kept at state 1) and measures on a 0..2 grid.  A grid
+        measure nu also gives nu + nu(. a^-1), for a random state a, which
+        every character with chi(a) = -1 kills: one class or several."""
+        rng = random.Random(27)
+        singular, shapes = 0, set()
+        for n in range(2, 33):
+            for factors in enumerate_abelian_groups(n):
+                table = _relabelled(rng, factors)
+                rows = table.rows
+                for killed in (False, True, True):
+                    grid = [0] * n
+                    while not any(grid):
+                        grid = [rng.randint(0, 2) for _ in range(n)]
+                    a_inverse = rows[rng.randrange(1, n)].index(1)
+                    values = [x + grid[rows[g][a_inverse] - 1] for g, x in enumerate(grid)] if killed else grid
+                    verdict = degeneracy_check(table, validate_measure([Fraction(v, sum(values)) for v in values]))
+                    matrix = oracle_mixture(rows, values)
+                    if verdict.kind == "repeated-translates":
+                        columns = list(zip(*matrix))
+                        assert columns[verdict.repeated_state - 1] == columns[0]
+                        continue
+                    assert_canonical_kernel(matrix, verdict.kernel_vector)
+                    if verdict.kernel_vector is not None:
+                        singular += 1
+                        phis = [phi for _, phi, _ in _vanishing_classes(table, values)]
+                        shapes.add((len(phis) >= 2, max(phis) >= 2))
+        # several classes at once, and a class that brings more than one vector
+        assert singular >= 40 and {(True, True), (False, True)} <= shapes
+
+    def test_z6_order_three_class(self):
+        # pushed onto Z3 the measure is (2, 2, 2)/6, so the order-3 class
+        # (phi = 2) vanishes and no other does: the kernel is the functions
+        # of g mod 3 that sum to 0, and the canonical one ends earliest
+        table = cayley_table((6,))
+        verdict = degeneracy_check(table, validate_measure(["1/3", "1/6", "1/6", 0, "1/6", "1/6"]))
+        assert [(d, phi) for d, phi, _ in _vanishing_classes(table, [2, 1, 1, 0, 1, 1])] == [(3, 2)]
+        assert verdict.kernel_vector == (1, -1, 0, 1, -1, 0)
+
     def test_single_state_never_degenerate(self):
         table = cayley_table(InvariantFactors(()))
         assert not degeneracy_check(table, _point_mass(1)).degenerate
@@ -340,15 +382,15 @@ class TestMixtureRank:
 
     def test_only_a_singular_pair_is_eliminated(self, monkeypatch):
         # degeneracy_check asks the characters first; the canonical kernel
-        # vector is computed only for a pair they found singular
+        # vector is built only for a pair they found singular
         eliminated = []
-        kernel_vector = RationalMatrix.kernel_vector
+        kernel_vector = derivation._kernel_vector
 
-        def counted(matrix):
-            eliminated.append(matrix)
-            return kernel_vector(matrix)
+        def counted(table, vanishing):
+            eliminated.append(vanishing)
+            return kernel_vector(table, vanishing)
 
-        monkeypatch.setattr(RationalMatrix, "kernel_vector", counted)
+        monkeypatch.setattr(derivation, "_kernel_vector", counted)
         rng = random.Random(12)
         pairs = [(t, validate_measure(index_two_measure(rng, t.rows))) for t in _index_two_tables()]
         pairs += [(cayley_table(f), random_measure(rng, n)) for n in range(1, 11) for f in enumerate_abelian_groups(n)]
