@@ -264,34 +264,46 @@ def _check_length(part, n, indices, unit):
         raise ValidationError([Violation("shape-mismatch", indices, f"expected {n} {unit}, found {found}")])
 
 
-def _cube_from_columns(n, columns, convert) -> StructureCube:
-    """The cube whose n*n raw columns the iterable columns yields in scan
-    order, (1, 1), (1, 2), ..., each a sequence of n entries.
+def _cube_from_columns(n, columns, convert, typed, fault) -> StructureCube:
+    """The cube whose raw columns, each a sequence of n entries, are the
+    list columns, in scan order (1, 1), (1, 2), ...: all n*n of them, or
+    those before the first plane or column of the wrong shape, whose error
+    fault is then raised once they are converted.
 
-    A column whose entries are all exactly int or str is keyed by their
-    tuple and converted once, at its first sighting, by convert(column, i,
-    j) (0-based) into ints and Fractions; any other column is converted
-    wherever it stands, so that an entry equal to an int but of another
-    type (True == 1, 1.0 == 1) meets convert at its own location.  D is
-    computed and bounded over the distinct columns (scale_to_integers), and
-    columns equal as ints ("1/2" and "2/4") are merged, which puts the cube
-    in its canonical form (see StructureCube).  Signs and sums are checked
-    once per merged column, and each violation is reported at every (i, j)
-    that holds the column, in scan order.
+    Columns with equal entries are one column, keyed by their tuple in one
+    pass that also lays out the cube, and converted once, at the first
+    position p that holds them, by convert(column, *divmod(p, n)) into ints
+    and Fractions; convert raises for an entry that is not an int or a
+    scalar string.  An entry can equal an int without being one (True == 1,
+    1.0 == 1), and such a column must meet convert where it stands, not be
+    merged with the int column it equals: where typed, a column holding
+    anything but exact ints and strings is keyed by its position, which
+    reads the type of every entry.  A caller whose columns hold no entry
+    equal to an int or a string of another type passes typed false, and no
+    type is read; an unhashable entry (a list or a dict) then stops the
+    keying pass, which is run again typed, so that its column too is
+    converted where it stands.  Conversion runs in scan order, so the fault
+    met first is the one reported.  D is computed and bounded over the
+    distinct columns (scale_to_integers), and columns equal as ints ("1/2"
+    and "2/4") are merged, which puts the cube in its canonical form (see
+    StructureCube).  Signs and sums are checked once per merged column, and
+    each violation is reported at every (i, j) that holds the column, in
+    scan order.
     """
-    first, distinct, layout = {}, [], []
-    for position, column in enumerate(columns):
-        key = tuple(column)
-        if not {int, str}.issuperset(map(type, key)):
-            key = position  # converted where it stands
-        index = first.get(key)
-        if index is None:
-            index = first[key] = len(distinct)
-            distinct.append(convert(column, *divmod(position, n)))
-        layout.append(index)
+    first = {}  # each distinct key, at the first position that holds it
+    try:
+        keys = _typed_keys(columns) if typed else map(tuple, columns)
+        at = list(map(first.setdefault, keys, range(len(columns))))
+    except TypeError:  # an unhashable entry
+        first = {}
+        at = list(map(first.setdefault, _typed_keys(columns), range(len(columns))))
+    distinct = [convert(columns[p], *divmod(p, n)) for p in first.values()]
+    if fault is not None:
+        raise fault
     common, ints = scale_to_integers([x for column in distinct for x in column])
     merged = {}  # each distinct int column, at its index among the cube's columns
-    remap = [merged.setdefault(tuple(ints[start:start + n]), len(merged)) for start in range(0, len(ints), n)]
+    indices = [merged.setdefault(tuple(ints[start:start + n]), len(merged)) for start in range(0, len(ints), n)]
+    remap = dict(zip(first.values(), indices))  # first position -> index among the cube's columns
     faults = []
     for column in merged:
         found = []
@@ -303,21 +315,33 @@ def _cube_from_columns(n, columns, convert) -> StructureCube:
     if any(faults):
         raise ValidationError(
             Violation(kind, (position // n + 1, position % n + 1) + more, detail)
-            for position, index in enumerate(layout)
-            for more, kind, detail in faults[remap[index]]
+            for position, p in enumerate(at)
+            for more, kind, detail in faults[remap[p]]
         )
-    layout = tuple(tuple(remap[index] for index in layout[start:start + n]) for start in range(0, n * n, n))
+    layout = tuple(tuple(map(remap.__getitem__, at[start:start + n])) for start in range(0, n * n, n))
     return StructureCube(n, common, tuple(merged), layout)
 
 
+def _typed_keys(columns):
+    """The key of each column: its tuple of entries if they are all exactly
+    ints and strings, else its position."""
+    return [key if {int, str}.issuperset(map(type, key)) else p for p, key in enumerate(map(tuple, columns))]
+
+
 def _raw_columns(raw, n):
-    """The columns of a nested sequence in scan order, each checked to be a
-    sequence of n entries as its turn comes."""
-    for i, plane in enumerate(raw):
-        _check_length(plane, n, (i + 1,), "columns")
-        for j, column in enumerate(plane):
-            _check_length(column, n, (i + 1, j + 1), "entries")
-            yield column
+    """The columns of a nested sequence in scan order, up to the first
+    plane or column that is not a sequence of n items, and the
+    ValidationError for that one, or None."""
+    columns = []
+    try:
+        for i, plane in enumerate(raw):
+            _check_length(plane, n, (i + 1,), "columns")
+            for j, column in enumerate(plane):
+                _check_length(column, n, (i + 1, j + 1), "entries")
+                columns.append(column)
+    except ValidationError as fault:
+        return columns, fault
+    return columns, None
 
 
 def validate_cube(raw) -> StructureCube:
@@ -340,8 +364,9 @@ def validate_cube(raw) -> StructureCube:
         raise ValidationError([Violation("shape-mismatch", (), "cube must be a nested sequence")])
     if n < 1:
         raise ValidationError([Violation("shape-mismatch", (), "need at least one state")])
+    columns, fault = _raw_columns(raw, n)
     return _cube_from_columns(
-        n, _raw_columns(raw, n), lambda column, i, j: [x if type(x) is int else rat(x) for x in column]
+        n, columns, lambda column, i, j: [x if type(x) is int else rat(x) for x in column], True, fault
     )
 
 

@@ -8,11 +8,14 @@ plus a cube whose entries mix JSON ints, "p/q" and
 decimal strings, a cube that writes one value as two strings, and a set
 of documents the loader refuses (floats, booleans, wide exponents,
 operands past the digit bound, wrong JSON types, an order past the cap,
-one unparseable string at two places).  It runs validate, check and
-recover on each through hgforge.cli.main in-process, from inside a
-temporary directory so that an error message names the file as
-"cube.json", and writes every input document with the stdout, stderr and
-exit code of each command to golden_reports.json next to this file.
+one unparseable string at two places, a boolean or a float in a column
+equal to an int column before it, a parse error before a shape fault, a
+list entry in a repeated column).  It runs validate, check and recover on
+each through hgforge.cli.main in-process, from inside a temporary
+directory so that an error message names the file as "cube.json", and
+writes every input document (as "cube", or as the file's "text" where
+json.dumps cannot spell it, such as 1e0) with the stdout, stderr and exit
+code of each command to golden_reports.json next to this file.
 Rerun it only to re-record after an intended change of output; the test
 then pins the new bytes.
 """
@@ -179,7 +182,25 @@ def refused_documents():
         "n": 2,
         "entries": [[["1/2", "1/2"], ["1/0", 1]], [[0, 1], ["1/0", 0]]],
     }
+    # [0, true] and [0, 1.0] equal the int column [0, 1] before them, and
+    # are refused where they stand
+    found["load-boolean-after-an-equal-int-column"] = {"n": 2, "entries": [[[0, 1], [0, True]], [[1, 0], [1, 0]]]}
+    found["load-float-after-an-equal-int-column"] = {"n": 2, "entries": [[[0, 1], [0, 1.0]], [[1, 0], [1, 0]]]}
+    # the text holds "true", but no boolean
+    found["load-string-true"] = {"n": 2, "entries": [[[0, 1], [0, "true"]], [[1, 0], [1, 0]]]}
+    # the parse error comes first in scan order, the shape fault after it
+    found["load-parse-error-before-a-shape-fault"] = {"n": 2, "entries": [[[0, 1], ["1/0", 1]], [[0, 1], [0, 1, 0]]]}
+    # a list entry, which has no hash, in a column that repeats
+    found["load-list-entry-in-a-repeated-column"] = {"n": 2, "entries": [[[0, 1], [[0], 1]], [[[0], 1], [1, 0]]]}
     return found
+
+
+def refused_texts():
+    """Documents the loader refuses that json.dumps cannot spell, by name,
+    as the text of the file."""
+    return {
+        "load-exponent-float-after-an-equal-int-column": '{"n": 2, "entries": [[[0, 1], [0, 1e0]], [[1, 0], [1, 0]]]}',
+    }
 
 
 def mixed_document():
@@ -236,6 +257,10 @@ def record():
                 Path("cube.json").write_text(json.dumps(doc), encoding="utf-8")
                 runs = [run(main, "cube.json", argv) for argv in COMMANDS]
                 cases.append({"name": name, "cube": doc, "runs": runs})
+            for name, text in refused_texts().items():
+                Path("cube.json").write_text(text, encoding="utf-8")
+                runs = [run(main, "cube.json", argv) for argv in COMMANDS]
+                cases.append({"name": name, "text": text, "runs": runs})
         finally:
             os.chdir(home)
     OUT.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")

@@ -33,7 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-# seconds a mutant's child pytest may run; the whole catalogue of 28
+# seconds a mutant's child pytest may run; the whole catalogue of 33
 # mutants runs in about two minutes on a 2-vCPU machine
 TIMEOUT = 300
 
@@ -269,9 +269,9 @@ MUTANTS = (
         "loader keeps columns equal after conversion apart",
         "hgforge/core.py",
         "    merged = {}  # each distinct int column, at its index among the cube's columns\n"
-        "    remap = [merged.setdefault(tuple(ints[start:start + n]), len(merged)) for start in range(0, len(ints), n)]\n",
+        "    indices = [merged.setdefault(tuple(ints[start:start + n]), len(merged)) for start in range(0, len(ints), n)]\n",
         "    merged = [tuple(ints[start:start + n]) for start in range(0, len(ints), n)]\n"
-        "    remap = list(range(len(merged)))\n",
+        "    indices = list(range(len(merged)))\n",
         (
             "tests/test_core.py::TestCanonicalForm::test_validated_cubes",
             "tests/test_core.py::TestCanonicalForm::test_loaded_cubes",
@@ -343,12 +343,70 @@ MUTANTS = (
     Mutant(
         "columns keyed by isinstance",
         "hgforge/core.py",
-        "        if not {int, str}.issuperset(map(type, key)):\n",
-        "        if not all(isinstance(x, (int, str)) for x in key):\n",
+        "    return [key if {int, str}.issuperset(map(type, key)) else p for p, key in enumerate(map(tuple, columns))]\n",
+        "    return [key if all(isinstance(x, (int, str)) for x in key) else p for p, key in enumerate(map(tuple, columns))]\n",
         (
             "tests/test_core.py::TestValidateCube::test_bool_entry_rejected",
             "tests/test_formats.py::TestOneLoadingPass::test_column_equal_to_an_earlier_int_column_is_refused_in_place[bool]",
         ),
+    ),
+    # the cube loader: types from the decoder, shape faults in scan order
+    Mutant(
+        "loader trusting a text that holds true as bool-free",
+        "hgforge/formats.py",
+        '    typed = "u" in text or "f" in text\n',
+        '    typed = "f" in text\n',
+        (
+            "tests/test_formats.py::TestOneLoadingPass::test_column_equal_to_an_earlier_int_column_is_refused_in_place[bool]",
+            "tests/test_golden_reports.py::test_reports_replay_byte_for_byte[load-boolean-after-an-equal-int-column]",
+        ),
+    ),
+    Mutant(
+        "float marker replaced by the float itself",
+        "hgforge/formats.py",
+        "parse_float=lambda token: math.nan",
+        "parse_float=float",
+        (
+            "tests/test_formats.py::TestOneLoadingPass::test_column_equal_to_an_earlier_int_column_is_refused_in_place[float]",
+            "tests/test_golden_reports.py::test_reports_replay_byte_for_byte[load-exponent-float-after-an-equal-int-column]",
+        ),
+    ),
+    Mutant(
+        "shape fault raised before the columns before it convert",
+        "hgforge/core.py",
+        "    distinct = [convert(columns[p], *divmod(p, n)) for p in first.values()]\n"
+        "    if fault is not None:\n"
+        "        raise fault\n",
+        "    if fault is not None:\n"
+        "        raise fault\n"
+        "    distinct = [convert(columns[p], *divmod(p, n)) for p in first.values()]\n",
+        # test_formats.py::test_the_first_fault_is_the_oracles fails too,
+        # but Hypothesis then spends minutes shrinking its example
+        ("tests/test_golden_reports.py::test_reports_replay_byte_for_byte[load-parse-error-before-a-shape-fault]",),
+    ),
+    # the writer
+    Mutant(
+        "writer without ASCII escaping",
+        "hgforge/formats.py",
+        "    if type(value) is str:\n        return encode_basestring_ascii(value)\n",
+        "    if type(value) is str:\n        return json.encoder.encode_basestring(value)\n",
+        (
+            "tests/test_formats.py::TestWriter::test_equals_json_dumps",
+            "tests/test_formats.py::TestWriter::test_non_ascii_is_escaped",
+        ),
+    ),
+    # recorded by an earlier change: recover's plane-1 pre-check, whose
+    # removal made the read-off run on every valid cube
+    Mutant(
+        "recover's plane-1 pre-check restored",
+        "hgforge/recovery.py",
+        "    n = cube.n\n    result = _read_off(cube)\n",
+        "    n = cube.n\n"
+        "    if len(set(cube.layout[0])) < n:\n"
+        '        result = RecoveryResult(None, None, None, COLUMN_MATCH_FAILURE, None, "plane 1 repeats a column")\n'
+        "    else:\n"
+        "        result = _read_off(cube)\n",
+        ("tests/test_recovery.py::TestCertifyFirst::test_the_read_off_runs_exactly_once",),
     ),
 )
 

@@ -603,6 +603,40 @@ def oracle_load(doc):
     return ("cube", common, planes)
 
 
+def oracle_first_load_fault(doc):
+    """The first fault met reading the entries of a cube document in scan
+    order, as (location, kind), or None if every plane and column is a
+    list of n items and every entry a JSON int or a string that Fraction
+    parses.
+
+    doc is {"n": n, "entries": ...} as a list of n items.  Plane i is read
+    before its columns, column (i, j) before its entries, and the location
+    is the 0-based (i,), (i, j) or (i, j, k).  kind is "shape" for a plane
+    or column that is no list of n items, and "bool", "float",
+    "non-scalar" or "string" (unparseable) for an entry.
+    """
+    n = doc["n"]
+    for i, plane in enumerate(doc["entries"]):
+        if type(plane) is not list or len(plane) != n:
+            return (i,), "shape"
+        for j, column in enumerate(plane):
+            if type(column) is not list or len(column) != n:
+                return (i, j), "shape"
+            for k, x in enumerate(column):
+                if type(x) is bool:
+                    return (i, j, k), "bool"
+                if type(x) is float:
+                    return (i, j, k), "float"
+                if type(x) is str:
+                    try:
+                        Fraction(x)
+                    except (ValueError, ZeroDivisionError):
+                        return (i, j, k), "string"
+                elif type(x) is not int:
+                    return (i, j, k), "non-scalar"
+    return None
+
+
 def oracle_extract_by_value(entries, value):
     """What extracting a group at one value must give, in Fractions.
 

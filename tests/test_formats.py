@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import re
@@ -27,7 +28,7 @@ from hgforge.formats import (
     serialize,
     write_document,
 )
-from oracles import int_planes, oracle_load
+from oracles import int_planes, oracle_first_load_fault, oracle_load
 
 
 class TestScalars:
@@ -77,7 +78,7 @@ class TestScalars:
 class TestCubeDocuments:
     def test_round_trip(self, z2_cube):
         doc = cube_to_document(z2_cube)
-        assert parse_cube_document(json.loads(serialize(doc))) == z2_cube
+        assert parse_cube_document(serialize(doc)) == z2_cube
 
     def test_round_trip_big_denominators(self):
         from hgforge import validate_cube
@@ -89,25 +90,25 @@ class TestCubeDocuments:
                 [[rat(big - 1, big), rat(1, big)], [rat(1, big), rat(big - 1, big)]],
             ]
         )
-        assert parse_cube_document(json.loads(serialize(cube_to_document(cube)))) == cube
+        assert parse_cube_document(serialize(cube_to_document(cube))) == cube
 
     def test_shape_mismatch_is_format_error(self):
         with pytest.raises(FormatError, match="entries"):
-            parse_cube_document({"n": 2, "entries": [[[1, 0], [0, 1]]]})
+            parse_cube_document(json.dumps({"n": 2, "entries": [[[1, 0], [0, 1]]]}))
 
     def test_missing_n(self):
         with pytest.raises(FormatError, match='"n"'):
-            parse_cube_document({"entries": []})
+            parse_cube_document(json.dumps({"entries": []}))
 
     def test_error_location_in_message(self):
         doc = {"n": 2, "entries": [[[1, 0], [0, 1]], [[0, 1], ["1/3", 0.5]]]}
         with pytest.raises(FormatError, match=r"entries\[1\]\[1\]\[1\]"):
-            parse_cube_document(doc)
+            parse_cube_document(json.dumps(doc))
 
     def test_validation_violations_pass_through(self):
         doc = {"n": 2, "entries": [[["1/2", "2/5"], [0, 1]], [[0, 1], [1, 0]]]}
         with pytest.raises(ValidationError):
-            parse_cube_document(doc)
+            parse_cube_document(json.dumps(doc))
 
 
 class TestOperandDigits:
@@ -118,7 +119,7 @@ class TestOperandDigits:
 
     def test_denominator_at_the_bound(self):
         d = 10**MAX_OPERAND_DIGITS - 1
-        cube = parse_cube_document({"n": 1, "entries": [[[f"{d}/{d}"]]]})
+        cube = parse_cube_document(json.dumps({"n": 1, "entries": [[[f"{d}/{d}"]]]}))
         assert cube.entries[0][0][0] == 1
         values = [f"1/{d}", f"{d - 1}/{d}"]
         assert parse_measure_document({"n": 2, "values": values}).values == (rat(1, d), rat(d - 1, d))
@@ -126,7 +127,7 @@ class TestOperandDigits:
     def test_denominator_past_the_bound(self):
         for entry in ("1e-4300", f"1/{10**MAX_OPERAND_DIGITS}"):
             with pytest.raises(FormatError, match="common denominator exceeds"):
-                parse_cube_document({"n": 1, "entries": [[[entry]]]})
+                parse_cube_document(json.dumps({"n": 1, "entries": [[[entry]]]}))
         with pytest.raises(FormatError, match="common denominator exceeds"):
             parse_measure_document({"n": 1, "values": ["1e-4300"]})
 
@@ -137,17 +138,17 @@ class TestOperandDigits:
         entries = [[[f"1/{a}", f"{a - 1}/{a}"], [0, 1]], [[0, 1], [f"1/{b}", f"{b - 1}/{b}"]]]
         doc = {"n": 2, "entries": entries}
         with pytest.raises(FormatError, match="common denominator exceeds"):
-            parse_cube_document(doc)
+            parse_cube_document(json.dumps(doc))
 
     def test_numerator_past_the_bound(self):
         for entry in ("1e4300", 10**MAX_OPERAND_DIGITS, -(10**MAX_OPERAND_DIGITS)):
             with pytest.raises(FormatError, match="numerator"):
-                parse_cube_document({"n": 1, "entries": [[[entry]]]})
+                parse_cube_document(json.dumps({"n": 1, "entries": [[[entry]]]}))
         # a small value over a wide common denominator widens its numerator
         d = 10 ** (MAX_OPERAND_DIGITS - 1) + 1
         doc = {"n": 2, "entries": [[[f"1/{d}", f"{d - 1}/{d}"], [0, 1]], [[0, 1], [11, -10]]]}
         with pytest.raises(FormatError, match="numerator"):
-            parse_cube_document(doc)
+            parse_cube_document(json.dumps(doc))
 
 
 class TestCubeOrderCap:
@@ -164,11 +165,11 @@ class TestCubeOrderCap:
         message = f"n: cube order {n} exceeds the cap {DEFAULT_ORDER_CAP}"
         for entries in ([], [[["1/2"]]]):
             with pytest.raises(FormatError, match=re.escape(message)):
-                parse_cube_document({"n": n, "entries": entries})
+                parse_cube_document(json.dumps({"n": n, "entries": entries}))
 
     def test_order_at_the_cap_reaches_the_entries_check(self):
         with pytest.raises(FormatError, match=re.escape(f"entries: expected {DEFAULT_ORDER_CAP} items, found 0")):
-            parse_cube_document({"n": DEFAULT_ORDER_CAP, "entries": []})
+            parse_cube_document(json.dumps({"n": DEFAULT_ORDER_CAP, "entries": []}))
 
     def test_path_and_cap_in_the_file_error(self, tmp_path):
         path = tmp_path / "cube.json"
@@ -190,7 +191,7 @@ class TestOneLoadingPass:
 
         monkeypatch.setattr(formats, "parse_scalar", counting)
         doc = {"n": 2, "entries": [[["1/2", "0.5"], [0, 1]], [[1, 0], ["5e-1", "2/4"]]]}
-        cube = parse_cube_document(doc)
+        cube = parse_cube_document(json.dumps(doc))
         assert parsed == ["entries[0][0][0]", "entries[0][0][1]", "entries[1][1][0]", "entries[1][1][1]"]
         assert (cube.denominator, int_planes(cube)) == (2, (((1, 1), (0, 2)), ((2, 0), (1, 1))))
 
@@ -203,8 +204,8 @@ class TestOneLoadingPass:
         weights = [rng.getrandbits(40) | 1 << 39 for _ in range(3)]
         measure = [rat(w, sum(weights)) for w in weights] + [0] * 13
         cube = derive_cube(cayley_table(InvariantFactors((4, 4))), measure)
-        doc = json.loads(serialize(cube_to_document(cube)))
-        strings = [x for plane in doc["entries"] for col in plane for x in col if type(x) is not int]
+        text = serialize(cube_to_document(cube))
+        strings = [x for plane in json.loads(text)["entries"] for col in plane for x in col if type(x) is not int]
         assert len(strings) == 3 * 16 * 16 and len(set(strings)) == 3
         parsed = []
 
@@ -213,7 +214,7 @@ class TestOneLoadingPass:
             return parse_scalar(value, where)
 
         monkeypatch.setattr(formats, "parse_scalar", counting)
-        assert parse_cube_document(doc) == cube
+        assert parse_cube_document(text) == cube
         assert sorted(parsed) == sorted(set(strings))
 
     @pytest.mark.parametrize(
@@ -226,9 +227,9 @@ class TestOneLoadingPass:
     )
     def test_column_equal_to_an_earlier_int_column_is_refused_in_place(self, entry, message):
         # [0, true] and [0, 1.0] equal [0, 1] as tuples, yet are no int column
-        doc = json.loads('{"n": 2, "entries": [[[1, 0], [0, 1]], [[0, %s], [1, 0]]]}' % entry)
+        text = '{"n": 2, "entries": [[[1, 0], [0, 1]], [[0, %s], [1, 0]]]}' % entry
         with pytest.raises(FormatError) as err:
-            parse_cube_document(doc)
+            parse_cube_document(text)
         assert str(err.value) == f"entries[1][0][1]: {message}"
 
     def test_a_repeated_bad_column_is_reported_at_each_place(self):
@@ -236,7 +237,7 @@ class TestOneLoadingPass:
         # and (2, 1): each is checked once, and reported wherever it stands
         doc = {"n": 2, "entries": [[[2, -1], ["1/2", 0]], [["0.5", 0], [2, -1]]]}
         with pytest.raises(ValidationError) as err:
-            parse_cube_document(doc)
+            parse_cube_document(json.dumps(doc))
         assert [(v.kind, v.indices, v.detail) for v in err.value.violations] == [
             ("negative-entry", (1, 1, 2), "-1"),
             ("column-sum-not-one", (1, 2), "sums to 1/2"),
@@ -250,13 +251,13 @@ class TestOneLoadingPass:
         measure = [rat(rng.randrange(1, 100), 1000) for _ in range(15)]
         measure.append(1 - sum(measure))
         cube = derive_cube(cayley_table(InvariantFactors((4, 4))), measure)
-        loaded = parse_cube_document(json.loads(serialize(cube_to_document(cube))))
+        loaded = parse_cube_document(serialize(cube_to_document(cube)))
         assert loaded == cube
         assert len(loaded.columns) == 16
 
     def test_boolean_entry_still_refused(self):
         with pytest.raises(FormatError, match=re.escape("entries[0][0][0]: expected a number, found a boolean")):
-            parse_cube_document({"n": 1, "entries": [[[True]]]})
+            parse_cube_document(json.dumps({"n": 1, "entries": [[[True]]]}))
 
     def test_lcm_stops_at_the_bound(self):
         # each of the 1000 denominators has 2101 digits, under the bound;
@@ -266,7 +267,7 @@ class TestOneLoadingPass:
         entries = [[[f"1/{next(denominators)}" for _ in range(10)] for _ in range(10)] for _ in range(10)]
         start = time.perf_counter()
         with pytest.raises(FormatError, match="entries: the common denominator exceeds 2150 digits"):
-            parse_cube_document({"n": 10, "entries": entries})
+            parse_cube_document(json.dumps({"n": 10, "entries": entries}))
         assert time.perf_counter() - start < 5
 
 
@@ -314,13 +315,39 @@ def _scalar_text(draw, q):
     return f"{q.numerator * scale}/{q.denominator * scale}"
 
 
+# entries no cube document may hold, by the kind of fault each is
+_BAD_ENTRIES = {
+    "bool": (True, False),
+    "float": (0.5, 1.0, 1e20),
+    "non-scalar": (None, [0], {"a": 1}),
+    "string": ("1/0", "one", "1/2/3", "", "0x1"),
+}
+# what a plane or a column may be instead of a list of n items
+_NOT_LISTS = (3, "ab", None, {"a": 1})
+
+
 @st.composite
-def _cube_documents(draw):
+def _misshapen(draw, part):
+    """part (a list) replaced by a value that is no list, or by a list of
+    one item too few or too many."""
+    form = draw(st.sampled_from(["not a list", "short", "long"]))
+    if form == "not a list":
+        return draw(st.sampled_from(_NOT_LISTS))
+    return part[:-1] if form == "short" else part + part[:1]
+
+
+@st.composite
+def _cube_documents(draw, faults=False):
     """Cube documents of order 1-3: probability columns and arbitrary ones,
     some entries widened past the operand bound, every scalar written in
     one of a pool of one or two accepted forms drawn per value, so that a
     document repeats its strings, and some columns copied to other slots,
-    so that it repeats valid and invalid columns."""
+    so that it repeats valid and invalid columns.  With faults, one to
+    three faults are then put in at drawn places, and a few columns copied
+    again: a bool, a float (equal to the int it replaces where there is
+    one, so that its column can equal an int column copied before it), a
+    non-scalar or an unparseable string as an entry, or a plane or a
+    column that is no list of n items."""
     n = draw(st.integers(1, 3))
     valid = draw(st.booleans())
     entries = []
@@ -338,19 +365,64 @@ def _cube_documents(draw):
         if q not in texts:
             texts[q] = draw(st.lists(_scalar_text(q), min_size=1, max_size=2))
     columns = [[draw(st.sampled_from(texts[q])) for q in col] for col in entries]
+    slot = st.integers(0, n * n - 1)
+
+    def copy_columns(count):
+        for _ in range(count):
+            column = columns[draw(slot)]
+            columns[draw(slot)] = list(column) if type(column) is list else column
+
     # repeat some columns, written as drawn, in other slots
-    for _ in range(draw(st.integers(0, n * n))):
-        columns[draw(st.integers(0, n * n - 1))] = list(columns[draw(st.integers(0, n * n - 1))])
-    return {"n": n, "entries": [columns[i * n:(i + 1) * n] for i in range(n)]}
+    copy_columns(draw(st.integers(0, n * n)))
+    misshapen = []  # the planes to put out of shape
+    for _ in range(draw(st.integers(1, 3)) if faults else 0):
+        c, k = draw(slot), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(sorted(_BAD_ENTRIES) + ["column", "plane"]))
+        if kind == "plane":
+            misshapen.append(c // n)
+        elif kind == "column" and type(columns[c]) is list:
+            columns[c] = draw(_misshapen(columns[c]))
+        elif type(columns[c]) is list and len(columns[c]) == n:
+            x = columns[c][k]
+            if kind == "bool" and type(x) is int and x in (0, 1):
+                columns[c][k] = bool(x)
+            elif kind == "float" and type(x) is int:
+                columns[c][k] = float(x)
+            else:
+                columns[c][k] = draw(st.sampled_from(_BAD_ENTRIES[kind]))
+    if faults:
+        copy_columns(draw(st.integers(0, n)))
+    planes = [columns[i * n:(i + 1) * n] for i in range(n)]
+    for i in misshapen:
+        planes[i] = draw(_misshapen(planes[i]))
+    return {"n": n, "entries": planes}
 
 
-@settings(max_examples=150)
-@given(doc=_cube_documents())
-def test_loading_agrees_with_the_fraction_oracle(doc):
+# the message after a fault's location, by the kind of fault
+_FAULT_MESSAGES = {
+    "shape": r"expected (a list, found \w+|{n} items, found \d+)\Z",
+    "bool": r"expected a number, found a boolean\Z",
+    "float": r"bare floats are inexact; ",
+    "non-scalar": r"expected an int or a string, found \w+\Z",
+    "string": r"cannot parse ",
+}
+
+
+def _assert_loads_as_the_oracles(doc):
+    """Loading the text of doc refuses the first fault that
+    oracle_first_load_fault finds, at its location, or else agrees with
+    oracle_load."""
+    fault = oracle_first_load_fault(doc)
+    if fault is not None:
+        location, kind = fault
+        where = "entries" + "".join(f"[{x}]" for x in location)
+        with pytest.raises(FormatError) as err:
+            parse_cube_document(json.dumps(doc))
+        assert re.match(re.escape(where) + ": " + _FAULT_MESSAGES[kind].format(n=doc["n"]), str(err.value))
+        return
     expected = oracle_load(doc)
-    doc = json.loads(json.dumps(doc))
     try:
-        cube = parse_cube_document(doc)
+        cube = parse_cube_document(json.dumps(doc))
     except FormatError as err:
         phrase = {"denominator": "the common denominator exceeds", "numerator": "a numerator over the common"}
         assert expected[0] == "bound" and str(err).startswith(f"entries: {phrase[expected[1]]}")
@@ -359,6 +431,63 @@ def test_loading_agrees_with_the_fraction_oracle(doc):
     else:
         planes = [[list(col) for col in plane] for plane in int_planes(cube)]
         assert expected == ("cube", cube.denominator, planes)
+
+
+@settings(max_examples=150)
+@given(doc=_cube_documents())
+def test_loading_agrees_with_the_fraction_oracle(doc):
+    _assert_loads_as_the_oracles(doc)
+
+
+@settings(max_examples=300)
+@given(doc=_cube_documents(faults=True))
+def test_the_first_fault_is_the_oracles(doc):
+    _assert_loads_as_the_oracles(doc)
+
+
+# strings with non-ASCII, control and lone surrogate characters among them
+_TEXT = st.text(st.characters(blacklist_categories=()), max_size=6)
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(2**64, 2**200).map(lambda x: x * (-1) ** (x % 2))
+    | st.floats() | _TEXT
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4), max_leaves=24
+)
+
+
+class TestWriter:
+    @settings(max_examples=300)
+    @given(doc=st.dictionaries(_TEXT, _JSON_VALUES, max_size=5))
+    def test_equals_json_dumps(self, doc):
+        assert serialize(doc) == json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+
+    def test_non_ascii_is_escaped(self, tmp_path):
+        doc = {"caf\u00e9": ["\u2028", "\x00\t\"\\", "\U0001f600", "\ud800"], "\x7f": {"": [[], {}]}}
+        text = serialize(doc)
+        assert text.isascii() and text == json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+        write_document(tmp_path / "doc.json", doc)
+        assert (tmp_path / "doc.json").read_bytes() == text.encode("ascii")
+
+    def test_cube_documents_written_as_serialized(self, tmp_path):
+        rng = random.Random(6)
+        measure = [rat(rng.randrange(1, 1000), 10**6) for _ in range(7)]
+        measure.append(1 - sum(measure))
+        doc = cube_to_document(derive_cube(cayley_table(InvariantFactors((2, 4))), measure))
+        write_document(tmp_path / "cube.json", doc)
+        text = (tmp_path / "cube.json").read_text(encoding="ascii")
+        assert text == serialize(doc) == json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+
+    def test_leaves_no_cyclic_garbage(self):
+        doc = {"schema": "hgforge/1", "checks": [{"holds": False, "witnesses": [{"indices": [1, 2, 3]}]}], "n": None}
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                serialize(doc)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestMeasureDocuments:

@@ -1,7 +1,8 @@
 """Replay the recorded validate, check and recover reports byte for byte.
 
 tests/data/golden_reports.json holds each input document with the
-stdout, stderr and exit code of every command run on it;
+stdout, stderr and exit code of every command run on it, as a document
+("cube") or, where json.dumps cannot spell it, as the file's "text";
 make_golden_reports.py in the same directory records them.  Documents
 the loader refuses are named "load-..."; every command on them exits 2
 with nothing on stdout.  The recorded check reports cover --property
@@ -39,7 +40,8 @@ def test_refused_documents_exit_two_with_one_error_line():
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
 def test_reports_replay_byte_for_byte(case, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    Path("cube.json").write_text(json.dumps(case["cube"]), encoding="utf-8")
+    text = case["text"] if "text" in case else json.dumps(case["cube"])
+    Path("cube.json").write_text(text, encoding="utf-8")
     for run in case["runs"]:
         argv = run["argv"]
         code = main([argv[0], "cube.json", *argv[1:]])
