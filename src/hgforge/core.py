@@ -264,39 +264,32 @@ def _check_length(part, n, indices, unit):
         raise ValidationError([Violation("shape-mismatch", indices, f"expected {n} {unit}, found {found}")])
 
 
-def _cube_from_columns(n, columns, convert, typed, fault) -> StructureCube:
+def _cube_from_columns(n, keys, columns, convert, fault) -> StructureCube:
     """The cube whose raw columns, each a sequence of n entries, are the
     list columns, in scan order (1, 1), (1, 2), ...: all n*n of them, or
     those before the first plane or column of the wrong shape, whose error
     fault is then raised once they are converted.
 
-    Columns with equal entries are one column, keyed by their tuple in one
-    pass that also lays out the cube, and converted once, at the first
-    position p that holds them, by convert(column, *divmod(p, n)) into ints
-    and Fractions; convert raises for an entry that is not an int or a
-    scalar string.  An entry can equal an int without being one (True == 1,
-    1.0 == 1), and such a column must meet convert where it stands, not be
-    merged with the int column it equals: where typed, a column holding
-    anything but exact ints and strings is keyed by its position, which
-    reads the type of every entry.  A caller whose columns hold no entry
-    equal to an int or a string of another type passes typed false, and no
-    type is read; an unhashable entry (a list or a dict) then stops the
-    keying pass, which is run again typed, so that its column too is
-    converted where it stands.  Conversion runs in scan order, so the fault
+    keys holds a hashable key for each column, and columns with equal keys
+    are one column: a single pass lays out the cube by key, and each
+    distinct column is converted once, at the first position p that holds
+    it, by convert(column, *divmod(p, n)) into ints and Fractions; convert
+    raises for an entry that is not an int or a scalar string.  Equal keys
+    must mean columns that convert alike.  An entry can equal an int
+    without being one (True == 1, 1.0 == 1), and such a column must meet
+    convert where it stands, not be merged with the int column it equals:
+    _typed_keys reads the type of every entry to keep them apart, and the
+    cube loader's keys, the texts of the columns, differ already ([0, true]
+    is not the text [0, 1]).  Conversion runs in scan order, so the fault
     met first is the one reported.  D is computed and bounded over the
     distinct columns (scale_to_integers), and columns equal as ints ("1/2"
-    and "2/4") are merged, which puts the cube in its canonical form (see
-    StructureCube).  Signs and sums are checked once per merged column, and
-    each violation is reported at every (i, j) that holds the column, in
-    scan order.
+    and "2/4", or two texts of one column) are merged, which puts the cube
+    in its canonical form (see StructureCube).  Signs and sums are checked
+    once per merged column, and each violation is reported at every (i, j)
+    that holds the column, in scan order.
     """
     first = {}  # each distinct key, at the first position that holds it
-    try:
-        keys = _typed_keys(columns) if typed else map(tuple, columns)
-        at = list(map(first.setdefault, keys, range(len(columns))))
-    except TypeError:  # an unhashable entry
-        first = {}
-        at = list(map(first.setdefault, _typed_keys(columns), range(len(columns))))
+    at = list(map(first.setdefault, keys, range(len(columns))))
     distinct = [convert(columns[p], *divmod(p, n)) for p in first.values()]
     if fault is not None:
         raise fault
@@ -324,7 +317,8 @@ def _cube_from_columns(n, columns, convert, typed, fault) -> StructureCube:
 
 def _typed_keys(columns):
     """The key of each column: its tuple of entries if they are all exactly
-    ints and strings, else its position."""
+    ints and strings, else its position, so no key is unhashable and no
+    bool, float or list entry merges its column with another."""
     return [key if {int, str}.issuperset(map(type, key)) else p for p, key in enumerate(map(tuple, columns))]
 
 
@@ -366,7 +360,7 @@ def validate_cube(raw) -> StructureCube:
         raise ValidationError([Violation("shape-mismatch", (), "need at least one state")])
     columns, fault = _raw_columns(raw, n)
     return _cube_from_columns(
-        n, columns, lambda column, i, j: [x if type(x) is int else rat(x) for x in column], True, fault
+        n, _typed_keys(columns), columns, lambda column, i, j: [x if type(x) is int else rat(x) for x in column], fault
     )
 
 

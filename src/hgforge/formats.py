@@ -9,31 +9,42 @@ Three document kinds, all plain JSON:
 Scalars are JSON integers or strings: "3/4" (lowest terms on output) or
 a decimal like "0.75", both parsed exactly; a JSON integer in a cube is
 kept as the int itself.  A cube document is read in one pass over its
-distinct columns (core._cube_from_columns): equal columns are found by
-their tuples of decoded entries, each distinct column is parsed once, at
-its first location, and each distinct string once, at its first
-location, whatever column holds it.  A bool or a float equals an int
-(true == 1, 1.0 == 1), yet must be refused at its own location, never
-merged with an equal int column met before.  So the loader decodes the
-text itself, with every JSON float decoded to NaN, which equals no int
-and no string and which parse_scalar refuses as the float it is; and it
-reads the type of every entry only when the text holds a "u" or an "f",
-the letters of true and false, keying a column that holds anything but
-ints and strings by its place.  Planes and columns are checked to be
-lists of n items by whole-list passes, and only a faulty document is
-walked item by item.  Columns convert in scan order, and those before a
-misshapen plane or column convert before its shape fault is raised, so
-the fault reported is the first in scan order; the operand bound and
-the constraints are checked after every column has converted.  A
-decimal's exponent may not exceed MAX_DECIMAL_EXPONENT in magnitude, so
-a short string such as "1e-3000000" cannot stall parsing; its digits are
-already bounded by CPython's limit on the digits of an integer string.
-The entries of a cube, and the values of a measure, written over their
-common denominator, must stay within MAX_OPERAND_DIGITS:
+distinct columns (core._cube_from_columns): each distinct column is
+converted once, at its first location, and each distinct string once, at
+its first location, whatever column holds it.
+
+Which columns are equal is decided by a key per column, and there are
+two readers.  The spelling that derive --out, json.dump and the
+benchmark write, {"n": N, "entries": [...]} with JSON whitespace between
+tokens, is read through the text of its columns (_written_columns): the
+text is split at "]", the structure between columns is checked, each
+column's text is its key, and only the distinct texts are decoded, so a
+derived cube of order n decodes n column texts, not n**3 entries.  A bool
+or a float equals an int (true == 1, 1.0 == 1), yet must be refused at
+its own location, never merged with an equal int column met before; the
+texts [0, true], [0, 1.0] and [0, 1] differ, so text keys need no read
+of any entry's type.  Every other text goes to the full reader
+(_parse_decoded): keys in another order, another key, other whitespace,
+a list entry, a string that holds a bracket, a wrong shape, malformed
+JSON.  It decodes the whole document, checks that each plane and column
+is a list of n items, and keys each column by its entries and their
+types (core._typed_keys), which keeps a bool, float or list column
+apart.  Columns convert in scan order, and those before a misshapen
+plane or column convert before its shape fault is raised, so the fault
+reported is the first in scan order; the operand bound and the
+constraints are checked after every column has converted.  On every
+text the first reader takes, the two give the same cube or the same
+error.
+
+A decimal's exponent may not exceed MAX_DECIMAL_EXPONENT in magnitude,
+so a short string such as "1e-3000000" cannot stall parsing; its digits
+are already bounded by CPython's limit on the digits of an integer
+string.  The entries of a cube, and the values of a measure, written
+over their common denominator, must stay within MAX_OPERAND_DIGITS:
 core.scale_to_integers enforces it, and its OperandBoundError becomes a
-FormatError here.  Bare JSON floats are
-rejected with a pointer to the quoting rule, because a float has already
-lost exactness before this library ever sees it.  A cube or group
+FormatError here.  Bare JSON floats are rejected with a pointer to the
+quoting rule, because a float has already lost exactness before this
+library ever sees it.  A cube or group
 document names an order of at most groups.DEFAULT_ORDER_CAP, checked
 before any scalar or table is read.  A group document must carry exactly
 one of its two fields and satisfy the group axioms; Cayley tables are
@@ -50,14 +61,12 @@ which write_document streams to the file chunk by chunk.
 from __future__ import annotations
 
 import json
-import math
 import re
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .core import (  # MAX_OPERAND_DIGITS is re-exported
-    MAX_OPERAND_DIGITS, MeasureVector, OperandBoundError, StructureCube, _cube_from_columns, rat,
-    scale_to_integers, validate_measure,
+    MAX_OPERAND_DIGITS, MeasureVector, OperandBoundError, StructureCube, _cube_from_columns, _typed_keys,
+    rat, scale_to_integers, validate_measure,
 )
 from .groups import DEFAULT_ORDER_CAP, CayleyTable, InvalidTable, InvariantFactors, cayley_table
 
@@ -127,12 +136,7 @@ def _require_list(value, length, where):
 def _cube_columns(entries, n):
     """The columns of the n planes entries in scan order, up to the first
     plane or column that is not a list of n items, and the FormatError
-    for that one, or None.  Whole-list passes settle a well-shaped cube;
-    only a faulty one is walked item by item."""
-    if set(map(type, entries)) == {list} and set(map(len, entries)) == {n}:
-        columns = list(chain.from_iterable(entries))
-        if set(map(type, columns)) == {list} and set(map(len, columns)) == {n}:
-            return columns, None
+    for that one, or None."""
     columns = []
     try:
         for i, plane in enumerate(entries):
@@ -143,30 +147,94 @@ def _cube_columns(entries, n):
     return columns, None
 
 
-def _decode(text, **hooks):
+def _decode(text):
     try:
-        return json.loads(text, **hooks)
+        return json.loads(text)
     except (ValueError, RecursionError) as err:
         # ValueError covers integers past CPython's digit limit as well as
         # malformed JSON; RecursionError, deep nesting
         raise FormatError(f"not valid JSON ({err})") from None
 
 
-def parse_cube_document(text) -> StructureCube:
-    """Cube from the text of a cube document; malformed JSON, shape errors
-    and an order above DEFAULT_ORDER_CAP are FormatError, constraint
-    violations surface as ValidationError, as validate_cube raises them:
-    both build the cube through core._cube_from_columns."""
-    # a JSON float decodes to NaN, which equals no int and no string, so
-    # its column is never merged with an int column, and which parse_scalar
-    # refuses, at its own location, as the float it is
-    doc = _decode(text, parse_float=lambda token: math.nan)
+# JSON's whitespace, and no other: a form feed or a Unicode space between
+# tokens is malformed JSON, which only the full reader may report
+_WS = " \t\n\r"
+_NO_WS = dict.fromkeys(map(ord, _WS))
+# the head {"n": N, "entries": [ of a cube document, N a JSON int of at
+# most nine digits; re compiles it on first use and keeps it
+_HEAD = r'_\{_"n"_:_([1-9][0-9]{0,8})_,_"entries"_:_\['.replace("_", r"[ \t\n\r]*")
+
+
+def _written_columns(text):
+    """(n, keys, columns) of a cube document in the spelling that derive
+    --out, json.dump and the benchmark write, or None for any other text.
+
+    That spelling is {"n": N, "entries": [...]} with JSON whitespace
+    between tokens, N in 1..DEFAULT_ORDER_CAP, and n planes of n columns
+    whose entries hold no list.  The text is split at "]": each column's
+    piece is a gap, its last "[" and the column's body, and each plane
+    ends with a piece of whitespace.  Each gap must be structure alone:
+    "[" before the first column, "," and "[" before the first column of
+    each later plane, "," before any other.  The "[" that ends it then
+    opens the column, since a "[" inside a string leaves a gap that is
+    not structure, and the body holds no bracket outside a string.  A "]"
+    inside a string ends a body inside an open string, so its decode
+    fails.  The keys are the bodies' texts, and only the distinct ones are
+    decoded, in one json.loads, each to a list that must hold n items:
+    escapes, exponents, true and wide ints read as the full reader reads
+    them.  Only the distinct pieces are split: equal columns at the same
+    kind of place share a piece."""
+    head = re.match(_HEAD, text)
+    if head is None or int(head[1]) > DEFAULT_ORDER_CAP:
+        return None
+    n = int(head[1])
+    # no more pieces than the spelling has, whatever the text holds
+    pieces = text.split("]", n * n + n + 1)
+    pieces[0] = pieces[0][head.end():]
+    if len(pieces) != n * n + n + 2:
+        return None
+    tail, last = pieces.pop(), pieces.pop()  # after the entries' "]", and before it
+    if tail.strip(_WS) != "}" or (last + "".join(pieces[n::n + 1])).strip(_WS):
+        return None
+    del pieces[n::n + 1]  # the close of each plane
+    inner = list(pieces)  # every column's piece but a plane's first
+    del inner[::n]
+    bodies = {}  # the body of each distinct piece
+    for structure, group in (("[", pieces[:1]), (",[", pieces[n::n]), (",", inner)):
+        for piece in set(group):
+            gap, _, bodies[piece] = piece.rpartition("[")
+            if gap.translate(_NO_WS) != structure:
+                return None
+    keys = list(map(bodies.__getitem__, pieces))
+    distinct = dict.fromkeys(bodies.values())
+    try:
+        decoded = json.loads("[[" + "],[".join(distinct) + "]]")
+    except (ValueError, RecursionError):
+        return None
+    # a body that ends inside a string joins the next body to its list
+    if len(decoded) != len(distinct) or any(len(column) != n for column in decoded):
+        return None
+    columns = dict(zip(distinct, decoded))
+    return n, keys, list(map(columns.__getitem__, keys))
+
+
+def _parse_decoded(text) -> StructureCube:
+    """The full reader, for a document in any spelling: decode it, check
+    its fields and shape, and key each column by its entries and their
+    types (core._typed_keys)."""
+    doc = _decode(text)
     _require_object(doc, "cube")
     n = _require_n(doc, "cube")
     if n > DEFAULT_ORDER_CAP:
         raise FormatError(f"n: cube order {n} exceeds the cap {DEFAULT_ORDER_CAP}")
     columns, fault = _cube_columns(_require_list(doc.get("entries"), n, "entries"), n)
-    parsed = {}  # each distinct scalar string is parsed once, at its first location
+    return _cube(n, _typed_keys(columns), columns, fault)
+
+
+def _cube(n, keys, columns, fault=None) -> StructureCube:
+    """The cube of the keyed raw columns (core._cube_from_columns), each
+    distinct scalar string parsed once, at its first location."""
+    parsed = {}
 
     def convert(column, i, j):
         return [
@@ -176,14 +244,23 @@ def parse_cube_document(text) -> StructureCube:
             for k, x in enumerate(column)
         ]
 
-    # a bool equals an int (true == 1); every true holds a "u" and every
-    # false an "f", so a text with neither letter holds no bool, and no
-    # entry's type needs reading
-    typed = "u" in text or "f" in text
     try:
-        return _cube_from_columns(n, columns, convert, typed, fault)
+        return _cube_from_columns(n, keys, columns, convert, fault)
     except OperandBoundError as err:
         raise FormatError(f"entries: {err}") from None
+
+
+def parse_cube_document(text) -> StructureCube:
+    """Cube from the text of a cube document; malformed JSON, shape errors
+    and an order above DEFAULT_ORDER_CAP are FormatError, constraint
+    violations surface as ValidationError, as validate_cube raises them:
+    both build the cube through core._cube_from_columns.  The written
+    spelling is read through its column texts (_written_columns); every
+    other text, and every faulty one, by the full reader."""
+    written = _written_columns(text)
+    if written is None:
+        return _parse_decoded(text)
+    return _cube(*written)
 
 
 def parse_measure_document(doc) -> MeasureVector:

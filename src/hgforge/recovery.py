@@ -191,6 +191,13 @@ def recover(cube) -> RecoveryResult:
     That gate is the matrix route (checks._matrix_violations states its
     cost); the brute-force route, which recover does not run, stays
     unshared on purpose as the independent cross-check.
+
+    By the paper's theorem a cube that passes all three gates is derived,
+    and the read-off certifies it; no cube of tests/test_census.py (every
+    cube of order 2 with entries in (1/D)Z for D <= 2, every commutative
+    one for D <= 6, and orders 3 and 4 with D = 1) passes them without
+    being certified.  So the read-off's rejection after the gates is a
+    second line of defence, which only a faulty read-off would reach.
     """
     try:
         cube = validate_cube(cube)

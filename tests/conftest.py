@@ -1,12 +1,15 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 import hgforge
 from hgforge import InvariantFactors, cayley_table, validate_cube, validate_measure
 
 settings.register_profile("suite", max_examples=25, derandomize=True, deadline=None)
+# for tests/mutants.py, whose children select it with --hypothesis-profile:
+# a failing example is reported as drawn, since shrinking it can take minutes
+settings.register_profile("mutants", settings.get_profile("suite"), phases=(Phase.explicit, Phase.generate))
 settings.load_profile("suite")
 
 

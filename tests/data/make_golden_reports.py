@@ -10,7 +10,10 @@ of documents the loader refuses (floats, booleans, wide exponents,
 operands past the digit bound, wrong JSON types, an order past the cap,
 one unparseable string at two places, a boolean or a float in a column
 equal to an int column before it, a parse error before a shape fault, a
-list entry in a repeated column).  It runs validate, check and recover on
+list entry in a repeated column, strings that hold a bracket, a form feed
+between tokens), some of them also with "entries" before "n" or with
+compact separators, and two cubes in spellings that only the full reader
+takes ("entries" before "n", an extra key).  It runs validate, check and recover on
 each through hgforge.cli.main in-process, from inside a temporary
 directory so that an error message names the file as "cube.json", and
 writes every input document (as "cube", or as the file's "text" where
@@ -192,6 +195,14 @@ def refused_documents():
     found["load-parse-error-before-a-shape-fault"] = {"n": 2, "entries": [[[0, 1], ["1/0", 1]], [[0, 1], [0, 1, 0]]]}
     # a list entry, which has no hash, in a column that repeats
     found["load-list-entry-in-a-repeated-column"] = {"n": 2, "entries": [[[0, 1], [[0], 1]], [[[0], 1], [1, 0]]]}
+    # strings that hold a bracket, which the reader splits the text at
+    found["load-string-holding-close-bracket"] = {"n": 2, "entries": [[[0, 1], ["1]", 0]], [[1, 0], [0, 1]]]}
+    found["load-string-holding-open-bracket"] = {"n": 2, "entries": [[[0, 1], ["[1", 0]], [[1, 0], [0, 1]]]}
+    # "entries" before "n": [0, true] after [0, 1] is refused where it stands
+    found["load-boolean-after-an-equal-int-column-entries-first"] = {
+        "entries": [[[0, 1], [0, True]], [[1, 0], [1, 0]]],
+        "n": 2,
+    }
     return found
 
 
@@ -200,6 +211,12 @@ def refused_texts():
     as the text of the file."""
     return {
         "load-exponent-float-after-an-equal-int-column": '{"n": 2, "entries": [[[0, 1], [0, 1e0]], [[1, 0], [1, 0]]]}',
+        "load-exponent-float-after-an-equal-int-column-entries-first": (
+            '{"entries": [[[0, 1], [0, 1e0]], [[1, 0], [1, 0]]], "n": 2}'
+        ),
+        # a form feed is no JSON whitespace
+        "load-form-feed-between-tokens": '{"n": 2, "entries": [[[0, 1],\f[1, 0]], [[1, 0], [0, 1]]]}',
+        "load-list-entry-in-a-repeated-column-compact": '{"n":2,"entries":[[[0,1],[[0],1]],[[[0],1],[1,0]]]}',
     }
 
 
@@ -248,6 +265,11 @@ def record():
     documents["z3-mixed-scalar-forms"] = mixed_document()
     documents["z3-half-written-two-ways"] = two_spellings_document()
     documents.update(refused_documents())
+    # two spellings that only the full reader takes: the keys in the other
+    # order, and a key besides "n" and "entries"
+    z3 = document(cyclic([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]))
+    documents["z3-entries-before-n"] = {"entries": z3["entries"], "n": z3["n"]}
+    documents["index-2-extra-key"] = {**documents["index-2"], "schema": "hgforge/1"}
     cases = []
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:

@@ -8,7 +8,9 @@ snippet of one file under src/ and names the test node ids that must
 fail once it is in place.  For each mutant the script copies src/ to a
 temporary directory, applies the replacement there (the checkout is
 never touched), and runs the named nodes in a child pytest whose import
-path is that copy alone.  A mutant survives when any of its nodes passes.
+path is that copy alone, under the Hypothesis profile "mutants" of
+conftest.py, which does not shrink: a property test stops at its first
+failing example.  A mutant survives when any of its nodes passes.
 A child that runs past TIMEOUT seconds is stopped, and its mutant gets the
 verdict timeout, which is not a kill: a mutant that makes a test loop
 then costs a bounded time.  The script prints one line per mutant and
@@ -33,8 +35,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-# seconds a mutant's child pytest may run; the whole catalogue of 33
-# mutants runs in about two minutes on a 2-vCPU machine
+# seconds a mutant's child pytest may run; the whole catalogue of 37
+# mutants runs in a few minutes on a 2-vCPU machine
 TIMEOUT = 300
 
 
@@ -347,30 +349,70 @@ MUTANTS = (
         "    return [key if all(isinstance(x, (int, str)) for x in key) else p for p, key in enumerate(map(tuple, columns))]\n",
         (
             "tests/test_core.py::TestValidateCube::test_bool_entry_rejected",
-            "tests/test_formats.py::TestOneLoadingPass::test_column_equal_to_an_earlier_int_column_is_refused_in_place[bool]",
+            "tests/test_golden_reports.py::test_reports_replay_byte_for_byte[load-boolean-after-an-equal-int-column-entries-first]",
         ),
     ),
-    # the cube loader: types from the decoder, shape faults in scan order
+    # a bool or a float column refused where it stands, not merged with the
+    # int column it equals: typed keys on the full reader, text keys on the
+    # reader of the written spelling
     Mutant(
-        "loader trusting a text that holds true as bool-free",
-        "hgforge/formats.py",
-        '    typed = "u" in text or "f" in text\n',
-        '    typed = "f" in text\n',
+        "typed keys take a bool for an int",
+        "hgforge/core.py",
+        "{int, str}.issuperset(map(type, key))",
+        "{int, str, bool}.issuperset(map(type, key))",
+        ("tests/test_golden_reports.py::test_reports_replay_byte_for_byte[load-boolean-after-an-equal-int-column-entries-first]",),
+    ),
+    Mutant(
+        "typed keys take a float for an int",
+        "hgforge/core.py",
+        "{int, str}.issuperset(map(type, key))",
+        "{int, str, float}.issuperset(map(type, key))",
         (
-            "tests/test_formats.py::TestOneLoadingPass::test_column_equal_to_an_earlier_int_column_is_refused_in_place[bool]",
-            "tests/test_golden_reports.py::test_reports_replay_byte_for_byte[load-boolean-after-an-equal-int-column]",
+            "tests/test_golden_reports.py::test_reports_replay_byte_for_byte"
+            "[load-exponent-float-after-an-equal-int-column-entries-first]",
         ),
     ),
     Mutant(
-        "float marker replaced by the float itself",
+        "bodies keyed by decoded value instead of text",
         "hgforge/formats.py",
-        "parse_float=lambda token: math.nan",
-        "parse_float=float",
+        "    return n, keys, list(map(columns.__getitem__, keys))\n",
+        "    return n, [tuple(columns[key]) for key in keys], list(map(columns.__getitem__, keys))\n",
         (
+            "tests/test_formats.py::TestOneLoadingPass::test_column_equal_to_an_earlier_int_column_is_refused_in_place[bool]",
             "tests/test_formats.py::TestOneLoadingPass::test_column_equal_to_an_earlier_int_column_is_refused_in_place[float]",
+            "tests/test_golden_reports.py::test_reports_replay_byte_for_byte[load-boolean-after-an-equal-int-column]",
             "tests/test_golden_reports.py::test_reports_replay_byte_for_byte[load-exponent-float-after-an-equal-int-column]",
         ),
     ),
+    # the reader of the written spelling: what it leaves to the full reader
+    Mutant(
+        "gap check accepting any prefix",
+        "hgforge/formats.py",
+        "            if gap.translate(_NO_WS) != structure:\n",
+        "            if gap.translate(_NO_WS)[-len(structure):] != structure:\n",
+        (
+            "tests/test_formats.py::test_a_text_off_the_written_spelling_reads_as_the_full_reader_reads_it[double-comma]",
+            "tests/test_formats.py::test_a_text_off_the_written_spelling_reads_as_the_full_reader_reads_it[junk-before-a-comma]",
+        ),
+    ),
+    Mutant(
+        "plane-close check skipped",
+        "hgforge/formats.py",
+        '(last + "".join(pieces[n::n + 1])).strip(_WS)',
+        "last.strip(_WS)",
+        ("tests/test_formats.py::test_a_text_off_the_written_spelling_reads_as_the_full_reader_reads_it[junk-in-a-plane-close]",),
+    ),
+    Mutant(
+        "body length unchecked",
+        "hgforge/formats.py",
+        "len(decoded) != len(distinct) or any(len(column) != n for column in decoded)",
+        "len(decoded) != len(distinct)",
+        (
+            "tests/test_formats.py::test_a_text_off_the_written_spelling_reads_as_the_full_reader_reads_it[long-column]",
+            "tests/test_formats.py::test_every_spelling_reads_as_the_full_reader_reads_it",
+        ),
+    ),
+    # the full reader: shape faults in scan order
     Mutant(
         "shape fault raised before the columns before it convert",
         "hgforge/core.py",
@@ -380,9 +422,10 @@ MUTANTS = (
         "    if fault is not None:\n"
         "        raise fault\n"
         "    distinct = [convert(columns[p], *divmod(p, n)) for p in first.values()]\n",
-        # test_formats.py::test_the_first_fault_is_the_oracles fails too,
-        # but Hypothesis then spends minutes shrinking its example
-        ("tests/test_golden_reports.py::test_reports_replay_byte_for_byte[load-parse-error-before-a-shape-fault]",),
+        (
+            "tests/test_golden_reports.py::test_reports_replay_byte_for_byte[load-parse-error-before-a-shape-fault]",
+            "tests/test_formats.py::test_the_first_fault_is_the_oracles",
+        ),
     ),
     # the writer
     Mutant(
@@ -443,7 +486,7 @@ def run(mutant):
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
         command = [
             sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-            "-o", f"pythonpath={src}", *mutant.tests,
+            "-o", f"pythonpath={src}", "--hypothesis-profile=mutants", *mutant.tests,
         ]
         try:
             done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT)

@@ -9,6 +9,12 @@ the associative ones are built (the others fail the theorem's first
 condition, and there are 4**10 of them).  On each cube the package's
 verdicts must tell one story, and the cubes it recovers must be counted
 as tests/oracles.py counts the derived cubes that meet condition (A).
+For n = 2 with D <= 2, every cube is built, commutative or not, so that
+recover's not-commutative answer is counted too.
+
+No cube of the census passes recover's three gates (commutativity,
+associativity, condition (A)) without being certified, so the read-off's
+rejections after the gates are reached by no cube here.
 """
 
 import itertools
@@ -90,3 +96,26 @@ def test_census(n, denominator, associative, recovered):
     assert associates == associative
     # the cubes are distinct, so uniqueness means their pairs are too
     assert len(set(pairs)) == len(pairs) == recovered == oracle_census_count(n, denominator)
+
+
+def _recovered_pairs(cubes):
+    """The (table rows, measure) pairs that recover certifies among cubes."""
+    results = (recover(validate_cube(entries)) for entries in cubes)
+    return [(result.table.rows, result.measure.values) for result in results if result.recovered]
+
+
+@pytest.mark.parametrize("denominator, cubes, not_commutative", [(1, 16, 8), (2, 81, 54)], ids=["D1", "D2"])
+def test_census_without_the_symmetry_restriction(denominator, cubes, not_commutative):
+    columns = [tuple(values) for values in grid_measures(2, denominator)]
+    every = [[[a, b], [c, d]] for a, b, c, d in itertools.product(columns, repeat=4)]
+    refused = 0
+    for entries in every:
+        cube = validate_cube(entries)
+        assert is_associative_matrix(cube).holds == is_associative_bruteforce(cube).holds, entries
+        differ = entries[0][1] != entries[1][0]
+        assert (recover(cube).reason == "not-commutative") == differ, entries
+        refused += differ
+    assert (len(every), refused) == (cubes, not_commutative)
+    pairs = _recovered_pairs(every)
+    assert len(set(pairs)) == len(pairs)
+    assert set(pairs) == set(_recovered_pairs(_commutative_cubes(2, denominator)))

@@ -445,6 +445,154 @@ def test_the_first_fault_is_the_oracles(doc):
     _assert_loads_as_the_oracles(doc)
 
 
+# the reader of the written spelling (formats._written_columns) against the
+# full reader (formats._parse_decoded) that every other text takes
+
+# a stand-in for the float 1e0, which json.dumps cannot spell, put in the
+# text after dumping; no drawn string holds \x01
+_E0 = "\x01e0"
+_STRINGS = ("1/2", "2/4", "0.5", "1/3", "5e-1", "1/0", "]", "[", "1/2]", "[1", ",", '"', "\\", '"], ["', "[0]", "\u00e9")
+_ENTRIES = st.one_of(
+    st.integers(0, 2),
+    st.sampled_from(_STRINGS),
+    st.text(alphabet='[],"\\ 01/', max_size=4),
+    st.integers(2**64, 2**70),
+    st.booleans(),
+    st.sampled_from([1.0, _E0]),
+    st.lists(st.integers(0, 1) | st.sampled_from(["]", "["]), max_size=2),
+    st.just({"p": 1}),
+)
+
+
+@st.composite
+def _odd_documents(draw):
+    """Cube documents of order 1-3 built from a pool of columns, so that
+    columns repeat: probability columns in ints and "p/q" strings, and
+    columns of drawn entries (bools, the floats 1.0 and 1e0, ints past
+    2**64, lists, objects, and strings that hold brackets, commas, quotes
+    and backslashes); a column or a plane of the wrong length now and
+    then, and sometimes an order the entries do not have."""
+    n = draw(st.integers(1, 3))
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            weights = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any))
+            pool.append([w if w == sum(weights) or not w else f"{w}/{sum(weights)}" for w in weights])
+        else:
+            size = draw(st.sampled_from([n] * 4 + [n - 1, n + 1]))
+            pool.append(draw(st.lists(_ENTRIES, min_size=size, max_size=size)))
+    planes = [[list(draw(st.sampled_from(pool))) for _ in range(n)] for _ in range(n)]
+    if draw(st.integers(0, 9)) == 0:
+        planes[draw(st.integers(0, n - 1))].pop()
+    return {"n": draw(st.sampled_from([n] * 9 + [n + 1])), "entries": planes}
+
+
+def _spellings(doc):
+    """The text of doc as json.dumps writes it by default, with indent=2,
+    and with compact separators; with extra whitespace, and with a form
+    feed; with "entries" before "n", and with an extra key."""
+    dumps = [
+        json.dumps(doc),
+        json.dumps(doc, indent=2),
+        json.dumps(doc, separators=(",", ":")),
+        " \r\n" + json.dumps(doc, indent="\t", separators=(" ,\n", " :\t")) + "\n ",
+        json.dumps(doc, separators=(",\f", ": ")),
+        json.dumps({"entries": doc["entries"], "n": doc["n"]}),
+        json.dumps({**doc, "schema": "hgforge/1"}),
+    ]
+    return [text.replace(json.dumps(_E0), "1e0") for text in dumps]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (FormatError, ValidationError) as err:
+        return type(err), str(err), getattr(err, "violations", None)
+
+
+@settings(max_examples=200)
+@given(doc=_odd_documents())
+def test_every_spelling_reads_as_the_full_reader_reads_it(doc):
+    import hgforge.formats as formats
+
+    for text in _spellings(doc):
+        assert _outcome(parse_cube_document, text) == _outcome(formats._parse_decoded, text), text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 2, "entries": [[[1, 0] [0, 1]], [[0, 1], [1, 0]]]}',
+        '{"n": 2, "entries": [[[1, 0],, [0, 1]], [[0, 1], [1, 0]]]}',
+        '{"n": 2, "entries": [[[1, 0], 7, [0, 1]], [[0, 1], [1, 0]]]}',
+        '{"n": 2, "entries": [[[1, 0], [0, 1]] 7, [[0, 1], [1, 0]]]}',
+        '{"n": 2, "entries": [[[1, 0], [0, 1] 7], [[0, 1], [1, 0]]]}',
+        '{"n": 2, "entries": [[[1, 0], [0, 1]], [[0, 1], [1, 0]] 7]}',
+        '{"n": 2, "entries": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]} 7',
+        '{"n": 2, "entries": [[[1, 0, 0], [0, 1]], [[0, 1], [1, 0]]]}',
+        '{"n": 2, "entries": [[[1, 0], [0, 1]], [[0, 1], [1]]]}',
+        '{"n": 2, "entries": [[["a]", "b"], [0, 1]], [[0, 1], [1, 0]]]}',
+        '{"n": 2, "entries": [[["[", "]"], [0, 1]], [[0, 1], [1, 0]]]}',
+        '{"n": 2, "entries": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], "n": 3}',
+        '{"n": 02, "entries": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}',
+        '\ufeff{"n": 2, "entries": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}',
+        '{"n": 2, "entries": [[[1, 0], [0, 1]],\u00a0[[0, 1], [1, 0]]]}',
+    ],
+    ids=[
+        "missing-comma", "double-comma", "junk-before-a-comma", "junk-before-a-plane", "junk-in-a-plane-close",
+        "junk-in-the-entries-close", "junk-after-the-document", "long-column", "short-column",
+        "string-holding-close-bracket", "strings-holding-brackets", "duplicate-n", "n-with-a-leading-zero",
+        "byte-order-mark", "no-break-space",
+    ],
+)
+def test_a_text_off_the_written_spelling_reads_as_the_full_reader_reads_it(text):
+    import hgforge.formats as formats
+
+    assert formats._written_columns(text) is None
+    with pytest.raises(FormatError) as err:
+        parse_cube_document(text)
+    assert _outcome(formats._parse_decoded, text) == (FormatError, str(err.value), None)
+
+
+def test_a_text_of_many_brackets_is_not_split_into_as_many_pieces():
+    import tracemalloc
+
+    import hgforge.formats as formats
+
+    text = '{"n": 1, "entries": [[[1]]]' + "]" * 10**6 + "}"
+    tracemalloc.start()
+    try:
+        assert formats._written_columns(text) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text)
+
+
+def test_the_written_spellings_take_the_column_text_reader(monkeypatch, tmp_path):
+    import hgforge.formats as formats
+    from hgforge.cli import main
+
+    rng = random.Random(9)
+    values = [rat(rng.randrange(1, 1000), 10**6) for _ in range(7)]
+    values.append(1 - sum(values))
+    table = cayley_table(InvariantFactors((2, 4)))
+    cube = derive_cube(table, values)
+    write_document(tmp_path / "group.json", group_to_document(table))
+    write_document(tmp_path / "measure.json", {"n": 8, "values": [scalar_to_json(q) for q in values]})
+    with open(tmp_path / "dumped.json", "w", encoding="utf-8") as handle:
+        json.dump(cube_to_document(cube), handle)
+
+    def no_full_reader(text):
+        raise AssertionError("the full reader ran")
+
+    monkeypatch.setattr(formats, "_parse_decoded", no_full_reader)
+    group, measure, out = (str(tmp_path / name) for name in ("group.json", "measure.json", "derived.json"))
+    assert main(["derive", group, measure, "--out", out]) == 0
+    assert load_cube(out) == load_cube(tmp_path / "dumped.json") == cube
+    assert parse_cube_document(json.dumps(cube_to_document(cube), separators=(",", ":"))) == cube
+
+
 # strings with non-ASCII, control and lone surrogate characters among them
 _TEXT = st.text(st.characters(blacklist_categories=()), max_size=6)
 _JSON_SCALARS = (
